@@ -193,7 +193,13 @@ def build_problem(
         mu = config.q * config.L
         spectrum = np.geomspace(mu, config.L, config.d)
         b = rng_problem.standard_normal(config.d)
-        obj = quadratic_problem(spectrum, b, seed=config.seed)
+        try:
+            obj = quadratic_problem(spectrum, b, seed=config.seed)
+        except ArithmeticError as err:
+            raise ConfigError(
+                f"quadratic instance with q = {config.q:g}, d = {config.d} "
+                f"cannot be built: {err}"
+            ) from None
         x0 = obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
         return obj, x0
 

@@ -41,6 +41,7 @@ __all__ = [
     "ode_energy",
     "ode_run",
     "ode_certify",
+    "ode_certify_arrays",
     "default_dt",
     "ODE_COLUMNS",
 ]
@@ -61,40 +62,72 @@ class OdeEnergy:
     f_gap: float
 
 
+# The integrators below work on the stacked state w = [x; z] of shape
+# (2, d), whose field is k = a z + b grad f(x) with the coefficient
+# columns a = [1, -alpha] and b = [-beta, alpha beta - gamma]. Each row
+# rounds exactly as the componentwise formulas in the module docstring,
+# so traces stay bit-identical to an x/z loop; keep the operation order.
+
+
+def _coefficients(params: OdeParams) -> tuple[np.ndarray, np.ndarray]:
+    a = np.array([[1.0], [-params.alpha]])
+    b = np.array([[-params.beta], [params.alpha * params.beta - params.gamma]])
+    return a, b
+
+
+def _field(w: np.ndarray, grad, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * w[1] + b * grad(w[0])
+
+
+def _rk4(w: np.ndarray, dt: float, grad, a: np.ndarray, b: np.ndarray,
+         k: int) -> np.ndarray:
+    """Advance w by one RK4 step into sample k; raise if it goes non-finite."""
+    k1 = _field(w, grad, a, b)
+    k2 = _field(w + 0.5 * dt * k1, grad, a, b)
+    k3 = _field(w + 0.5 * dt * k2, grad, a, b)
+    k4 = _field(w + dt * k3, grad, a, b)
+    w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(w).all():
+        raise DivergenceError(k, f"state not finite at t = {k * dt:.6g}")
+    return w
+
+
+def _energy(x, z, f, xstar, fstar, params: OdeParams) -> tuple[float, float]:
+    """(eps, f_gap) at the state (x, z) given its objective value f."""
+    dx = x - xstar
+    phi = z + params.xi * dx
+    gap = float(f - fstar)
+    eps = (
+        0.5 * float(phi.dot(phi))
+        - 0.5 * params.eta * float(dx.dot(dx))
+        + params.theta * gap
+    )
+    return eps, gap
+
+
 def flow_vector_field(
     state: OdeState, obj: SmoothObjective, params: OdeParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dx, dz) of the first-order reformulation."""
-    g = obj.grad(state.x)
-    dx = state.z - params.beta * g
-    dz = -params.alpha * state.z + (params.alpha * params.beta - params.gamma) * g
-    return dx, dz
+    k = _field(np.array((state.x, state.z), dtype=float), obj.grad,
+               *_coefficients(params))
+    return k[0], k[1]
 
 
 def rk4_step(
     state: OdeState, dt: float, obj: SmoothObjective, params: OdeParams
 ) -> OdeState:
-    """One classical Runge-Kutta step of size dt > 0."""
+    """One classical Runge-Kutta step of size dt > 0.
+
+    A non-finite result raises DivergenceError carrying the index of the
+    sample the step produces on the fixed grid t = k dt started at 0.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-
-    def field(x, z):
-        g = obj.grad(x)
-        return (
-            z - params.beta * g,
-            -params.alpha * z + (params.alpha * params.beta - params.gamma) * g,
-        )
-
-    x, z = state.x, state.z
-    k1x, k1z = field(x, z)
-    k2x, k2z = field(x + 0.5 * dt * k1x, z + 0.5 * dt * k1z)
-    k3x, k3z = field(x + 0.5 * dt * k2x, z + 0.5 * dt * k2z)
-    k4x, k4z = field(x + dt * k3x, z + dt * k3z)
-    x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    z_new = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(z_new))):
-        raise DivergenceError(0, f"state not finite at t = {state.t + dt:.6g}")
-    return OdeState(t=state.t + dt, x=x_new, z=z_new)
+    w = np.array((state.x, state.z), dtype=float)
+    k = round(state.t / dt) + 1
+    w = _rk4(w, dt, obj.grad, *_coefficients(params), k)
+    return OdeState(t=state.t + dt, x=w[0], z=w[1])
 
 
 def ode_energy(
@@ -104,14 +137,7 @@ def ode_energy(
     xstar: np.ndarray,
     fstar: float,
 ) -> OdeEnergy:
-    dx = state.x - xstar
-    phi = state.z + params.xi * dx
-    gap = float(obj.eval(state.x) - fstar)
-    eps = (
-        0.5 * float(phi @ phi)
-        - 0.5 * params.eta * float(dx @ dx)
-        + params.theta * gap
-    )
+    eps, gap = _energy(state.x, state.z, obj.eval(state.x), xstar, fstar, params)
     return OdeEnergy(eps=eps, f_gap=gap)
 
 
@@ -135,7 +161,9 @@ def ode_run(
     The requested dt (or the stiffness default) is shrunk to divide the
     horizon exactly. When ground truth is available the energy decay
     certificates are evaluated immediately and their slack fills the last
-    column (row j certifies the step into sample j; row 0 holds NaN).
+    column (row j certifies the step into sample j; row 0 holds NaN);
+    trace.certificates keeps only the failed checks. A step that leaves
+    the state non-finite ends the run with aborted_at set to its index.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -157,27 +185,33 @@ def ode_run(
     fvals = np.full(n + 1, np.nan)
     aborted_at: Optional[int] = None
 
-    state = OdeState(t=0.0, x=x0, z=np.zeros_like(x0))
-    gap0 = obj.eval(x0) - fstar if certified else np.nan
+    grad, feval = obj.grad, obj.eval
+    a, b = _coefficients(params)
+    w = np.zeros((2, x0.size))
+    w[0] = x0
     rate = params.decay_rate
 
     rows = 0
     for j in range(n + 1):
         t = j * dt
-        fvals[j] = obj.eval(state.x)
+        x, z = w[0], w[1]
+        f = feval(x)
+        fvals[j] = f
         data[j, 0] = t
         if certified:
-            en = ode_energy(state, obj, params, xstar, fstar)
-            data[j, 1] = en.f_gap
-            data[j, 2] = en.eps
-            data[j, 3] = params.prefactor * gap0 * math.exp(-rate * t)
+            eps, gap = _energy(x, z, f, xstar, fstar, params)
+            if j == 0:
+                scale = params.prefactor * (f - fstar)
+            data[j, 1] = gap
+            data[j, 2] = eps
+            data[j, 3] = scale * math.exp(-rate * t)
         rows = j + 1
         if j == n:
             break
         try:
-            state = rk4_step(state, dt, obj, params)
-        except DivergenceError:
-            aborted_at = j + 1
+            w = _rk4(w, dt, grad, a, b, j + 1)
+        except DivergenceError as err:
+            aborted_at = err.k
             break
 
     data = data[:rows]
@@ -212,18 +246,64 @@ def ode_run(
     trace = Trace(kind="ode", columns=ODE_COLUMNS, data=data, summary=summary)
 
     if certified and aborted_at is None:
-        certs = ode_certify(trace, rate)
-        slack_col = list(ODE_COLUMNS).index("certificate_slack")
-        for c in certs:
-            if c.k >= 1:
-                trace.data[c.k, slack_col] = c.slack
-        trace.certificates = certs
-        failed = sum(1 for c in certs if not c.passed)
-        summary["certificates_checked"] = len(certs)
-        summary["certificates_failed"] = failed
-        summary["min_certificate_slack"] = min(c.slack for c in certs)
+        k, lhs, rhs, slack = ode_certify_arrays(data[:, 0], data[:, 2], rate, summary)
+        data[1:, ODE_COLUMNS.index("certificate_slack")] = slack[:-1]
+        failed = np.flatnonzero(~(slack >= 0.0))
+        trace.certificates = _results(k, lhs, rhs, slack, failed)
+        summary["certificates_checked"] = len(slack)
+        summary["certificates_failed"] = len(failed)
+        summary["min_certificate_slack"] = float(slack.min())
     summary["wall_time_s"] = time.perf_counter() - t_start
     return trace
+
+
+def ode_certify_arrays(
+    t: np.ndarray,
+    eps: np.ndarray,
+    rate: float,
+    summary: dict,
+    tol_glob: float = 1e-6,
+    c_step: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array core of ode_certify: columns (k, lhs, rhs, slack).
+
+    For n samples, entry j < n - 1 certifies the step into sample
+    k = j + 1 and entry n - 1 is the global check (k = -1) at its worst
+    sample. A check passes when its slack is nonnegative. The summary
+    supplies dt, L, alpha, beta and, optionally, f_scale.
+    """
+    if np.any(~np.isfinite(eps)):
+        raise ValueError("trace has no finite energy column; was the run certified?")
+    s = summary
+    dt = float(s["dt"])
+    lam = math.sqrt(float(s["L"]) * (1.0 + float(s["alpha"]) * float(s["beta"])))
+    tol_step = c_step * (lam * dt) ** 4
+    eps0 = eps[0]
+
+    growth = math.exp(rate * dt)
+    env = eps0 * np.exp(-rate * t)
+    noise = 8.0 * np.finfo(float).eps * (abs(eps0) + float(s.get("f_scale", 0.0)))
+    floor = 1e-14 * env + noise
+    lhs = eps[1:] * growth
+    rhs = eps[:-1] * (1.0 + tol_step) + floor[:-1]
+
+    bound = env * (1.0 + tol_glob) + 1e-18 * abs(eps0)
+    slacks = bound - eps
+    worst = int(np.argmin(slacks))
+    return (
+        np.append(np.arange(1, len(eps)), -1),
+        np.append(lhs, eps[worst]),
+        np.append(rhs, bound[worst]),
+        np.append(rhs - lhs, slacks[worst]),
+    )
+
+
+def _results(k, lhs, rhs, slack, rows) -> list[CertificateResult]:
+    return [
+        CertificateResult(k=int(k[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
+                          slack=float(slack[i]), passed=bool(slack[i] >= 0.0))
+        for i in rows
+    ]
 
 
 def ode_certify(
@@ -243,40 +323,6 @@ def ode_certify(
     at every sample. The global check is appended as a final result with
     k = -1.
     """
-    t = trace.column("t")
-    eps = trace.column("energy")
-    if np.any(~np.isfinite(eps)):
-        raise ValueError("trace has no finite energy column; was the run certified?")
-    s = trace.summary
-    dt = float(s["dt"])
-    lam = math.sqrt(float(s["L"]) * (1.0 + float(s["alpha"]) * float(s["beta"])))
-    tol_step = c_step * (lam * dt) ** 4
-    eps0 = eps[0]
-
-    growth = math.exp(rate * dt)
-    results: list[CertificateResult] = []
-    env = eps0 * np.exp(-rate * t)
-    noise = 8.0 * np.finfo(float).eps * (abs(eps0) + float(s.get("f_scale", 0.0)))
-    floor = 1e-14 * env + noise
-    for j in range(len(eps) - 1):
-        lhs = eps[j + 1] * growth
-        rhs = eps[j] * (1.0 + tol_step) + floor[j]
-        slack = rhs - lhs
-        results.append(
-            CertificateResult(k=j + 1, lhs=float(lhs), rhs=float(rhs),
-                              slack=float(slack), passed=bool(slack >= 0.0))
-        )
-
-    bound = env * (1.0 + tol_glob) + 1e-18 * abs(eps0)
-    slacks = bound - eps
-    worst = int(np.argmin(slacks))
-    results.append(
-        CertificateResult(
-            k=-1,
-            lhs=float(eps[worst]),
-            rhs=float(bound[worst]),
-            slack=float(slacks[worst]),
-            passed=bool(slacks[worst] >= 0.0),
-        )
-    )
-    return results
+    cols = ode_certify_arrays(trace.column("t"), trace.column("energy"), rate,
+                              trace.summary, tol_glob, c_step)
+    return _results(*cols, range(len(cols[0])))

@@ -18,10 +18,6 @@ import numpy as np
 __all__ = ["Trace"]
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 @dataclass
 class Trace:
     kind: str                      # "agm" | "pgm" | "ode"
@@ -49,11 +45,13 @@ class Trace:
         return self.data[:, j]
 
     def write_csv(self, path) -> None:
-        lines = [",".join(self.columns)]
-        for row in self.data:
-            lines.append(",".join(_fmt(v) for v in row))
+        row = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(self.columns) + "\n")
+            # blocks of rows bound the memory held by Python floats
+            for start in range(0, self.n_rows, 256):
+                block = self.data[start:start + 256].tolist()
+                fh.write("".join(row % tuple(r) for r in block))
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momcert
 from momcert import (
     ConfigError,
     ExperimentConfig,
@@ -82,6 +87,15 @@ class TestTraceIo:
         assert header == "k,f_gap_x,f_gap_y,grad_norm,energy,certificate_slack,theorem_bound"
         assert ta.summary["csv_path"] == str(fa)
         assert tb.n_rows == 41
+
+    def test_csv_rows_match_per_value_formatting(self, tmp_path):
+        data = np.array([[0.0, -0.0, np.nan],
+                         [np.inf, -np.inf, 1e-310],
+                         [0.1, 2.0 / 3.0, -1e300]])
+        Trace(kind="ode", columns=("a", "b", "c"), data=data).write_csv(tmp_path / "t.csv")
+        ref = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                  for row in data)
+        assert (tmp_path / "t.csv").read_text() == ref
 
     def test_json_summary_is_strict(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", d=3, q=0.1, iters=30,
@@ -292,6 +306,29 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unbuildable_instance_exits_two(self, tmp_path, capsys):
+        # at q = 1e-6 the minimizer fails its residual check; the CLI must
+        # report that as a configuration error, not a traceback
+        rc = main(["solve", "--q", "1e-6", "--d", "50", "--seed", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "residual" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(momcert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "momcert", "ode",
+             "--problem", "pl_sine", "--regime", "pl", "--x0", "2.0", "-T", "5",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "certificates:" in proc.stdout
 
     def test_sweep_grid(self, tmp_path, capsys):
         rc = main(["sweep", "--problem", "quadratic", "--d", "4", "--q", "0.1",

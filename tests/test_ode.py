@@ -20,6 +20,7 @@ from momcert import (
     default_dt,
     flow_vector_field,
     ode_certify,
+    ode_certify_arrays,
     ode_energy,
     ode_params_pl,
     ode_params_qg,
@@ -120,6 +121,42 @@ class TestRk4:
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
             for _ in range(400):
                 st = rk4_step(st, 1.0, obj, p)
+
+
+def _blow_up_objective(good_steps):
+    """Flat 1-d objective whose gradient turns NaN after good_steps RK4 steps.
+
+    Each step makes four gradient calls, so the step into sample
+    good_steps + 1 is the first to produce a non-finite state.
+    """
+    calls = [0]
+
+    def grad(x):
+        calls[0] += 1
+        return np.full(1, np.nan if calls[0] > 4 * good_steps else 0.0)
+
+    return SmoothObjective(dimension=1, eval=lambda x: 0.5 * float(x @ x),
+                           grad=grad, lipschitz=1.0)
+
+
+class TestDivergenceIndex:
+    def test_rk4_step_reports_the_sample_it_produces(self):
+        obj = _blow_up_objective(good_steps=7)
+        p = ode_params_pl(1.0, beta=0.5)
+        st = OdeState(0.0, np.array([1.0]), np.zeros(1))
+        for _ in range(7):
+            st = rk4_step(st, 0.25, obj, p)
+        with pytest.raises(DivergenceError) as info:
+            rk4_step(st, 0.25, obj, p)
+        assert info.value.k == 8
+
+    def test_run_aborts_at_the_same_index(self):
+        p = ode_params_pl(1.0, beta=0.5)
+        tr = ode_run(_blow_up_objective(good_steps=7), p, np.array([1.0]),
+                     horizon=10.0, dt=0.25)
+        assert tr.summary["aborted_at"] == 8
+        assert tr.summary["rows"] == 8
+        np.testing.assert_array_equal(tr.column("t"), np.arange(8) * 0.25)
 
 
 class TestEnergy:
@@ -286,3 +323,56 @@ class TestCertify:
         tr = _synthetic_trace(np.full(10, np.nan), 1.0, 0.01)
         with pytest.raises(ValueError):
             ode_certify(tr, 1.0)
+
+
+class TestRunEquivalence:
+    """ode_run's inlined loop against the public per-step functions."""
+
+    def test_columns_match_public_step_and_energy_bitwise(self):
+        obj = quadratic_problem(np.geomspace(1.0, 30.0, 3), np.ones(3), seed=5)
+        p = ode_params_sc(1.0, alpha=2.0, beta=0.2, omega=1.0)
+        x0 = obj.minimizer + np.array([1.5, -0.5, 2.0])
+        tr = ode_run(obj, p, x0, horizon=2.0, dt=0.01)
+        dt = tr.summary["dt"]
+        st = OdeState(0.0, x0, np.zeros(3))
+        gaps, eps = [], []
+        for j in range(tr.n_rows):
+            if j:
+                st = rk4_step(st, dt, obj, p)
+            en = ode_energy(st, obj, p, obj.minimizer, obj.min_value)
+            gaps.append(en.f_gap)
+            eps.append(en.eps)
+        assert tr.column("f_gap").tobytes() == np.array(gaps).tobytes()
+        assert tr.column("energy").tobytes() == np.array(eps).tobytes()
+
+    def test_array_certification_matches_the_list(self):
+        rate, dt = 1.0, 0.01
+        t = np.arange(200) * dt
+        eps = 3.0 * np.exp(-rate * t)
+        eps[50] *= 1.01
+        eps[120] *= 1.0 + 1e-9
+        tr = _synthetic_trace(eps, rate, dt)
+        certs = ode_certify(tr, rate)
+        k, lhs, rhs, slack = ode_certify_arrays(tr.column("t"), eps, rate, tr.summary)
+        assert [c.k for c in certs] == k.tolist()
+        assert [c.lhs for c in certs] == lhs.tolist()
+        assert [c.rhs for c in certs] == rhs.tolist()
+        assert [c.slack for c in certs] == slack.tolist()
+        assert [c.passed for c in certs] == (slack >= 0.0).tolist()
+        assert not all(c.passed for c in certs)
+
+    def test_run_keeps_only_failed_certificates(self):
+        obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=6)
+        base = ode_params_sc(1.0, 2.0, 0.1, 1.0)
+        # claim three times the certified rate so that the checks fail
+        p = replace(base, decay_rate=3.0 * base.decay_rate)
+        tr = ode_run(obj, p, obj.minimizer + 1.0, horizon=6.0)
+        full = ode_certify(tr, p.decay_rate)
+        failed = [c for c in full if not c.passed]
+        s = tr.summary
+        assert failed and tr.certificates == failed
+        assert s["certificates_checked"] == len(full)
+        assert s["certificates_failed"] == len(failed)
+        assert s["min_certificate_slack"] == min(c.slack for c in full)
+        np.testing.assert_array_equal(tr.column("certificate_slack")[1:],
+                                      [c.slack for c in full[:-1]])
