@@ -30,13 +30,12 @@ and that inequality is what the runtime certificates check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateResult, DivergenceError, energy_contraction
+from .certificates import DivergenceError
+from .discrete import DISCRETE_COLUMNS, certify_step, run_discrete
 from .oracle import SmoothObjective
 from .params import AgmParams
 from .trace import Trace
@@ -53,13 +52,7 @@ __all__ = [
     "AGM_COLUMNS",
 ]
 
-AGM_COLUMNS = (
-    "k", "f_gap_x", "f_gap_y", "grad_norm", "energy",
-    "certificate_slack", "theorem_bound",
-)
-
-# Iterate gaps above this multiple of the initial gap abort the run.
-_BLOWUP_FACTOR = 1e6
+AGM_COLUMNS = DISCRETE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
         + (y_next - state.y) / (1.0 + ah)
         + (params.gamma / (1.0 + ah) - 1.0) * (y_next - state.x)
     )
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise DivergenceError(state.k + 1, "iterate is not finite")
     # The velocity recursion must reproduce the same point.
     drift = np.linalg.norm(x_next - (state.x + h * state.v))
@@ -139,12 +132,18 @@ def agm_energy(
     Uses the expanded anchor form of phi, so everything is computable from
     (x_k, v_k, grad f(x_k)) without evaluating any extra gradient.
     """
+    return _energy(state, obj.eval(state.x), params, xstar, fstar)
+
+
+def _energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
+            fstar: float) -> EnergyTerms:
+    """agm_energy given the objective value fx = f(x_k)."""
     h = params.h
     dx = state.x - xstar
     phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
     sigma = dx - h * h * state.grad_x
     gsq = float(state.grad_x @ state.grad_x)
-    psi = float(obj.eval(state.x) - fstar - 0.5 * h * h * gsq)
+    psi = float(fx - fstar - 0.5 * h * h * gsq)
     e = (
         0.5 * float(phi @ phi)
         - 0.5 * params.eta * float(sigma @ sigma)
@@ -153,18 +152,21 @@ def agm_energy(
     return EnergyTerms(phi=phi, sigma=sigma, psi=psi, E=e)
 
 
-def agm_certify_step(
-    energy_now: float,
-    energy_next: float,
-    params: AgmParams,
-    tol_rel: float = 1e-9,
-    tol_abs: float = 1e-12,
-    k: int = 0,
-) -> CertificateResult:
-    """Contraction certificate between consecutive energies."""
-    return energy_contraction(
-        k, energy_now, energy_next, params.A, params.h, tol_rel, tol_abs
-    )
+agm_certify_step = certify_step
+
+
+def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray):
+    """Rows (state, f(x_k), f(y_{k+1}), ||grad f(x_k)||) for run_discrete.
+
+    Per step: the gradient agm_step takes at x_{k+1}, and f at x_{k+1} and
+    at the lookahead point y_{k+2}; f(x_k) also serves the energy.
+    """
+    hh = params.h * params.h
+    state = agm_init(obj, params, x0)
+    while True:
+        yield (state, obj.eval(state.x), obj.eval(state.x - hh * state.grad_x),
+               float(np.linalg.norm(state.grad_x)))
+        state = agm_step(state, obj, params)
 
 
 def agm_run(
@@ -181,103 +183,16 @@ def agm_run(
     final row has none). f_gap_y is the gap at the lookahead point
     y_{k+1} = x_k - h^2 grad f(x_k), which is the quantity the certified
     bound controls; theorem_bound is prefactor * gap_0 / (1 + rho)^k.
+    The blow-up rule and final_gap use f_gap_x.
 
     Certification needs the objective's minimizer and optimal value. When
     they are absent the run still executes: energies and bounds are NaN,
-    the gap columns are measured against the best value seen, and the
-    summary is flagged uncertified.
+    f_gap_x is measured against the best f(x_k) seen, f_gap_y against the
+    best of both columns, and the summary is flagged uncertified.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    t_start = time.perf_counter()
-    xstar, fstar = obj.minimizer, obj.min_value
-    certified = bool(certify and xstar is not None and fstar is not None)
-
-    h = params.h
-    tol_abs = 1e-12
-    data = np.full((iters + 1, len(AGM_COLUMNS)), np.nan)
-    cert_results: list[CertificateResult] = []
-    fvals = np.full(iters + 1, np.nan)
-    fvals_ahead = np.full(iters + 1, np.nan)
-    aborted_at: Optional[int] = None
-
-    state = agm_init(obj, params, np.asarray(x0, dtype=float))
-    f0 = obj.eval(state.x)
-    gap0 = f0 - fstar if certified else np.nan
-    if certified:
-        e_now = agm_energy(state, obj, params, xstar, fstar).E
-        tol_abs = 1e-12 * (1.0 + abs(e_now))
-    else:
-        e_now = np.nan
-
-    rows = 0
-    for k in range(iters + 1):
-        fx = obj.eval(state.x)
-        y_ahead = state.x - h * h * state.grad_x
-        fy = obj.eval(y_ahead)
-        gnorm = float(np.linalg.norm(state.grad_x))
-        fvals[k] = fx
-        fvals_ahead[k] = fy
-        data[k, 0] = k
-        data[k, 3] = gnorm
-        data[k, 4] = e_now
-        if certified:
-            data[k, 1] = fx - fstar
-            data[k, 2] = fy - fstar
-            data[k, 6] = params.bound_prefactor * gap0 / (1.0 + params.rho) ** k
-        rows = k + 1
-        if certified and fx - fstar > _BLOWUP_FACTOR * max(1.0, gap0):
-            aborted_at = k
-            break
-        if k == iters:
-            break
-        try:
-            state = agm_step(state, obj, params)
-        except DivergenceError as err:
-            aborted_at = err.k
-            break
-        if certified:
-            e_next = agm_energy(state, obj, params, xstar, fstar).E
-            cert = agm_certify_step(e_now, e_next, params, 1e-9, tol_abs, k=k)
-            cert_results.append(cert)
-            data[k, 5] = cert.slack
-            e_now = e_next
-
-    data = data[:rows]
-    if not certified:
-        # No ground truth: report gaps against the best value seen.
-        best = np.nanmin(fvals[:rows])
-        best_ahead = min(best, np.nanmin(fvals_ahead[:rows]))
-        data[:, 1] = fvals[:rows] - best
-        data[:, 2] = fvals_ahead[:rows] - best_ahead
-
-    failed = sum(1 for c in cert_results if not c.passed)
-    summary = {
-        "solver": "agm",
-        "regime": params.regime.value,
-        "gamma": params.gamma,
-        "omega": params.omega,
-        "alpha": params.alpha,
-        "h": h,
-        "mu": params.mu,
-        "L": params.L,
-        "rho_theory": params.rho,
-        "bound_prefactor": params.bound_prefactor,
-        "iters_requested": iters,
-        "rows": int(rows),
-        "certified": certified,
-        "certificates_checked": len(cert_results),
-        "certificates_failed": failed,
-        "min_certificate_slack": min((c.slack for c in cert_results), default=np.nan),
-        "initial_gap": float(data[0, 1]),
-        "final_gap": float(data[-1, 1]),
-        "aborted_at": aborted_at,
-        "wall_time_s": time.perf_counter() - t_start,
-    }
-    return Trace(
-        kind="agm", columns=AGM_COLUMNS, data=data, summary=summary,
-        certificates=cert_results,
-    )
+    return run_discrete("agm", obj, params, x0, iters, certify, _rows, _energy,
+                        gap=0, best_of=((0,), (0, 1)),
+                        extra={"gamma": params.gamma})
 
 
 def nesterov_reference_step(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CertificateResult", "DivergenceError", "energy_contraction"]
+__all__ = [
+    "CertificateResult", "DivergenceError", "certificate_results", "energy_contraction",
+]
 
 
 @dataclass(frozen=True)
@@ -52,3 +54,12 @@ def energy_contraction(
     slack = rhs - lhs
     passed = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
     return CertificateResult(k=k, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
+
+
+def certificate_results(k, lhs, rhs, slack, passed, rows) -> list[CertificateResult]:
+    """CertificateResults for the given rows of array-valued checks."""
+    return [
+        CertificateResult(k=int(k[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
+                          slack=float(slack[i]), passed=bool(passed[i]))
+        for i in rows
+    ]

@@ -375,7 +375,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> Trace:
         horizon = config.horizon
         if horizon is None:
             horizon = 20.0 / bundle.decay_rate
-        trace = _ode.ode_run(obj, bundle, x0, horizon, config.dt)
+        trace = _ode.ode_run(obj, bundle, x0, horizon, config.dt,
+                             certify=config.certify)
 
     trace.summary["fitted_rate"] = fit_linear_rate(trace)
     trace.summary["problem"] = config.problem
@@ -568,8 +569,8 @@ def _report(trace: Trace, quiet: bool) -> None:
         print(f"wrote {s['csv_path']} and {s['json_path']}")
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_solve(args: argparse.Namespace, **overrides) -> int:
+    config = replace(_config_from_args(args), **overrides)
     trace = run_experiment(config)
     _report(trace, config.quiet)
     return exit_code_for(trace)
@@ -583,7 +584,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print("certification unavailable: no ground-truth minimizer", file=sys.stderr)
         return 2
     _report(trace, config.quiet)
-    failures = [c for c in trace.certificates if not c.passed]
+    failures = trace.certificates  # only the failed checks are kept
     if not config.quiet:
         for c in failures[:10]:
             print(f"FAILED k={c.k}: lhs={c.lhs:.12g} > rhs={c.rhs:.12g} "
@@ -593,14 +594,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         verdict = "all certificates passed" if not failures else \
             f"{len(failures)} certificate(s) FAILED"
         print(verdict)
-    return exit_code_for(trace)
-
-
-def _cmd_ode(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.solver = "ode"
-    trace = run_experiment(config)
-    _report(trace, config.quiet)
     return exit_code_for(trace)
 
 
@@ -615,34 +608,23 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     return configs
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
+    """`sweep` writes every trace and the rate table; `rates` writes the
+    table only when --csv names it. Exit 1 if any certificate failed."""
     configs = _sweep_configs(args)
+    base = configs[0]
     # --csv names the sweep table; traces keep their default basenames
     rows = rate_table([replace(c, csv=None, json=None) for c in configs],
-                      write_traces=True)
-    base = configs[0]
-    out_dir = Path(base.out or os.environ.get(OUT_ENV_VAR) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / (base.csv or f"sweep_{base.problem}_s{base.seed}_rates.csv")
-    rate_table_csv(rows, table_path)
-    if not base.quiet:
-        print(rate_table_text(rows))
-        print(f"wrote {table_path}")
-    bad = any(r["certificates"].split("/")[0] != r["certificates"].split("/")[1]
-              for r in rows)
-    return 1 if bad else 0
-
-
-def _cmd_rates(args: argparse.Namespace) -> int:
-    configs = _sweep_configs(args)
-    rows = rate_table(configs, write_traces=False)
-    base = configs[0]
-    if base.csv:
+                      write_traces=sweep)
+    name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
+    if name:
         out_dir = Path(base.out or os.environ.get(OUT_ENV_VAR) or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        rate_table_csv(rows, out_dir / base.csv)
+        rate_table_csv(rows, out_dir / name)
     if not base.quiet:
         print(rate_table_text(rows))
+        if sweep:
+            print(f"wrote {out_dir / name}")
     bad = any(r["certificates"].split("/")[0] != r["certificates"].split("/")[1]
               for r in rows)
     return 1 if bad else 0
@@ -665,15 +647,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("ode", help="integrate the continuous flow")
     _add_common(p)
-    p.set_defaults(func=_cmd_ode)
+    p.set_defaults(func=lambda a: _cmd_solve(a, solver="ode"))
 
     p = sub.add_parser("sweep", help="grid over gamma x omega, write all traces")
     _add_common(p, grids=True)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=lambda a: _cmd_table(a, sweep=True))
 
     p = sub.add_parser("rates", help="rate table for a gamma x omega grid")
     _add_common(p, grids=True)
-    p.set_defaults(func=_cmd_rates)
+    p.set_defaults(func=lambda a: _cmd_table(a, sweep=False))
 
     args = parser.parse_args(argv)
     try:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateResult, DivergenceError
+from .certificates import CertificateResult, DivergenceError, certificate_results
 from .oracle import SmoothObjective
 from .params import OdeParams
 from .trace import Trace
@@ -153,17 +153,21 @@ def ode_run(
     x0: np.ndarray,
     horizon: float,
     dt: Optional[float] = None,
+    certify: bool = True,
 ) -> Trace:
     """Integrate over [0, horizon] and return the sampled trace.
 
     Columns: t, f_gap, energy, envelope, certificate_slack. The envelope
     column is the certified gap bound prefactor * gap_0 * exp(-rate t).
     The requested dt (or the stiffness default) is shrunk to divide the
-    horizon exactly. When ground truth is available the energy decay
-    certificates are evaluated immediately and their slack fills the last
-    column (row j certifies the step into sample j; row 0 holds NaN);
-    trace.certificates keeps only the failed checks. A step that leaves
-    the state non-finite ends the run with aborted_at set to its index.
+    horizon exactly. When `certify` is set and ground truth is available
+    the energy decay certificates are evaluated immediately and their
+    slack fills the last column (row j certifies the step into sample j;
+    row 0 holds NaN); trace.certificates keeps only the failed checks.
+    Otherwise energy and envelope are NaN and f_gap is measured against
+    the best value seen. A step that leaves the state non-finite ends the
+    run with aborted_at set to its index; a sampled objective value that
+    is not finite marks the run aborted at the first such sample.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -179,7 +183,7 @@ def ode_run(
     dt = horizon / n
 
     xstar, fstar = obj.minimizer, obj.min_value
-    certified = xstar is not None and fstar is not None
+    certified = bool(certify and xstar is not None and fstar is not None)
 
     data = np.full((n + 1, len(ODE_COLUMNS)), np.nan)
     fvals = np.full(n + 1, np.nan)
@@ -215,6 +219,9 @@ def ode_run(
             break
 
     data = data[:rows]
+    bad = np.flatnonzero(~np.isfinite(fvals[:rows]))
+    if bad.size:
+        aborted_at = int(bad[0])
     if not certified:
         best = np.nanmin(fvals[:rows])
         data[:, 1] = fvals[:rows] - best
@@ -234,7 +241,7 @@ def ode_run(
         "horizon": horizon,
         "dt": dt,
         "rows": int(rows),
-        "certified": bool(certified),
+        "certified": certified,
         "eps0": float(data[0, 2]) if certified else np.nan,
         "f_scale": float(abs(fvals[0]) + abs(fstar)) if certified else np.nan,
         "initial_gap": float(data[0, 1]),
@@ -248,8 +255,9 @@ def ode_run(
     if certified and aborted_at is None:
         k, lhs, rhs, slack = ode_certify_arrays(data[:, 0], data[:, 2], rate, summary)
         data[1:, ODE_COLUMNS.index("certificate_slack")] = slack[:-1]
-        failed = np.flatnonzero(~(slack >= 0.0))
-        trace.certificates = _results(k, lhs, rhs, slack, failed)
+        passed = slack >= 0.0
+        failed = np.flatnonzero(~passed)
+        trace.certificates = certificate_results(k, lhs, rhs, slack, passed, failed)
         summary["certificates_checked"] = len(slack)
         summary["certificates_failed"] = len(failed)
         summary["min_certificate_slack"] = float(slack.min())
@@ -298,14 +306,6 @@ def ode_certify_arrays(
     )
 
 
-def _results(k, lhs, rhs, slack, rows) -> list[CertificateResult]:
-    return [
-        CertificateResult(k=int(k[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
-                          slack=float(slack[i]), passed=bool(slack[i] >= 0.0))
-        for i in rows
-    ]
-
-
 def ode_certify(
     trace: Trace, rate: float, tol_glob: float = 1e-6, c_step: float = 1.0
 ) -> list[CertificateResult]:
@@ -323,6 +323,6 @@ def ode_certify(
     at every sample. The global check is appended as a final result with
     k = -1.
     """
-    cols = ode_certify_arrays(trace.column("t"), trace.column("energy"), rate,
-                              trace.summary, tol_glob, c_step)
-    return _results(*cols, range(len(cols[0])))
+    k, lhs, rhs, slack = ode_certify_arrays(trace.column("t"), trace.column("energy"),
+                                            rate, trace.summary, tol_glob, c_step)
+    return certificate_results(k, lhs, rhs, slack, slack >= 0.0, range(len(k)))

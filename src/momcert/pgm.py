@@ -19,13 +19,13 @@ for omega > 0 is slightly below A h; certificates use A, bounds use rho.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateResult, DivergenceError, energy_contraction
+from .certificates import DivergenceError
+from .discrete import DISCRETE_COLUMNS, certify_step, run_discrete
 from .oracle import CompositeObjective, grad_mapping
 from .params import PgmParams
 from .trace import Trace
@@ -45,12 +45,7 @@ __all__ = [
 # Same schema as the smooth solver; here f_gap_x tracks F(x_k) - F*,
 # f_gap_y tracks F(x_{k+1}) - F* (the quantity the bound controls), and
 # grad_norm holds ||G_s(y_k)||.
-PGM_COLUMNS = (
-    "k", "f_gap_x", "f_gap_y", "grad_norm", "energy",
-    "certificate_slack", "theorem_bound",
-)
-
-_BLOWUP_FACTOR = 1e6
+PGM_COLUMNS = DISCRETE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -88,12 +83,18 @@ def pgm_init(obj: CompositeObjective, params: PgmParams, x0: np.ndarray) -> PgmS
 
 
 def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> PgmState:
+    return _step(state, obj, params)[0]
+
+
+def _step(state: PgmState, obj: CompositeObjective,
+          params: PgmParams) -> tuple[PgmState, np.ndarray]:
+    """pgm_step, also returning the gradient mapping G_s(y_{k+1}) it took."""
     h = params.h
     s = h * h
     y_next = state.x_curr + (state.x_curr - state.x_prev) / (1.0 + params.alpha * h)
     g = grad_mapping(obj, y_next, s)
     x_next = y_next - s * g
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise DivergenceError(state.k + 1, "iterate is not finite")
     return PgmState(
         k=state.k + 1,
@@ -101,7 +102,7 @@ def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> Pgm
         x_curr=x_next,
         y=y_next,
         v=(x_next - state.x_curr) / h,
-    )
+    ), g
 
 
 def pgm_energy(
@@ -111,27 +112,39 @@ def pgm_energy(
     xstar: np.ndarray,
     fstar: float,
 ) -> PgmEnergyTerms:
+    return _energy(state, obj.total(state.x_curr), params, xstar, fstar)
+
+
+def _energy(state: PgmState, f_curr: float, params: PgmParams,
+            xstar: np.ndarray, fstar: float) -> PgmEnergyTerms:
+    """pgm_energy given f_curr = F(x_{k+1})."""
     dx = state.x_curr - xstar
     phi = state.v + params.xi * dx
     e = (
         0.5 * float(phi @ phi)
         - 0.5 * params.eta * float(dx @ dx)
-        + params.theta * (obj.total(state.x_curr) - fstar)
+        + params.theta * (f_curr - fstar)
     )
     return PgmEnergyTerms(phi=phi, E=e)
 
 
-def pgm_certify_step(
-    energy_now: float,
-    energy_next: float,
-    params: PgmParams,
-    tol_rel: float = 1e-9,
-    tol_abs: float = 1e-12,
-    k: int = 0,
-) -> CertificateResult:
-    return energy_contraction(
-        k, energy_now, energy_next, params.A, params.h, tol_rel, tol_abs
-    )
+pgm_certify_step = certify_step
+
+
+def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray):
+    """Rows (state, F(x_k), F(x_{k+1}), ||G_s(y_k)||) for run_discrete.
+
+    Per step: one gradient mapping (one grad, one prox), which the next
+    row's grad_norm reuses, and one F at the new iterate, which serves the
+    energy, then f_gap_y, then the next row's f_gap_x.
+    """
+    state = pgm_init(obj, params, x0)
+    f_prev = f_curr = obj.total(state.x_curr)
+    g = grad_mapping(obj, state.y, params.h * params.h)
+    while True:
+        yield state, f_prev, f_curr, float(np.linalg.norm(g))
+        state, g = _step(state, obj, params)
+        f_prev, f_curr = f_curr, obj.total(state.x_curr)
 
 
 def pgm_run(
@@ -145,94 +158,12 @@ def pgm_run(
 
     The certified bound F(x_{k+1}) - F* <= prefactor * gap_0 / (1 + rho)^k
     applies from k = 1 on; row 0 carries the k = 0 evaluation of the same
-    expression, which holds trivially since x_1 = x_0.
+    expression, which holds trivially since x_1 = x_0. The blow-up rule
+    and final_gap use f_gap_y; without ground truth both gap columns are
+    measured against the best F seen.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    t_start = time.perf_counter()
-    xstar, fstar = obj.minimizer, obj.min_value
-    certified = bool(certify and xstar is not None and fstar is not None)
-
-    h = params.h
-    s = h * h
-    tol_abs = 1e-12
-    data = np.full((iters + 1, len(PGM_COLUMNS)), np.nan)
-    cert_results: list[CertificateResult] = []
-    fcurr = np.full(iters + 1, np.nan)
-    fprev = np.full(iters + 1, np.nan)
-    aborted_at: Optional[int] = None
-
-    state = pgm_init(obj, params, np.asarray(x0, dtype=float))
-    gap0 = obj.total(state.x_prev) - fstar if certified else np.nan
-    if certified:
-        e_now = pgm_energy(state, obj, params, xstar, fstar).E
-        tol_abs = 1e-12 * (1.0 + abs(e_now))
-    else:
-        e_now = np.nan
-
-    rows = 0
-    for k in range(iters + 1):
-        f_prev_val = obj.total(state.x_prev)
-        f_curr_val = obj.total(state.x_curr)
-        fprev[k] = f_prev_val
-        fcurr[k] = f_curr_val
-        data[k, 0] = k
-        data[k, 3] = float(np.linalg.norm(grad_mapping(obj, state.y, s)))
-        data[k, 4] = e_now
-        if certified:
-            data[k, 1] = f_prev_val - fstar
-            data[k, 2] = f_curr_val - fstar
-            data[k, 6] = params.bound_prefactor * gap0 / (1.0 + params.rho) ** k
-        rows = k + 1
-        if certified and f_curr_val - fstar > _BLOWUP_FACTOR * max(1.0, gap0):
-            aborted_at = k
-            break
-        if k == iters:
-            break
-        try:
-            state = pgm_step(state, obj, params)
-        except DivergenceError as err:
-            aborted_at = err.k
-            break
-        if certified:
-            e_next = pgm_energy(state, obj, params, xstar, fstar).E
-            cert = pgm_certify_step(e_now, e_next, params, 1e-9, tol_abs, k=k)
-            cert_results.append(cert)
-            data[k, 5] = cert.slack
-            e_now = e_next
-
-    data = data[:rows]
-    if not certified:
-        best = min(np.nanmin(fprev[:rows]), np.nanmin(fcurr[:rows]))
-        data[:, 1] = fprev[:rows] - best
-        data[:, 2] = fcurr[:rows] - best
-
-    failed = sum(1 for c in cert_results if not c.passed)
-    summary = {
-        "solver": "pgm",
-        "regime": params.regime.value,
-        "omega": params.omega,
-        "alpha": params.alpha,
-        "h": h,
-        "mu": params.mu,
-        "L": params.L,
-        "rho_theory": params.rho,
-        "bound_prefactor": params.bound_prefactor,
-        "iters_requested": iters,
-        "rows": int(rows),
-        "certified": certified,
-        "certificates_checked": len(cert_results),
-        "certificates_failed": failed,
-        "min_certificate_slack": min((c.slack for c in cert_results), default=np.nan),
-        "initial_gap": float(data[0, 1]),
-        "final_gap": float(data[-1, 2]),
-        "aborted_at": aborted_at,
-        "wall_time_s": time.perf_counter() - t_start,
-    }
-    return Trace(
-        kind="pgm", columns=PGM_COLUMNS, data=data, summary=summary,
-        certificates=cert_results,
-    )
+    return run_discrete("pgm", obj, params, x0, iters, certify, _rows, _energy,
+                        gap=1, best_of=((0, 1), (0, 1)), extra={})
 
 
 def prox_descent_check(

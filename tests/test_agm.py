@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from momcert import (
+    DivergenceError,
     agm_certify_step,
     agm_energy,
     agm_init,
@@ -238,3 +239,110 @@ class TestNesterovEquivalence:
     def test_correction_coefficient_vanishes_exactly(self):
         p = agm_params_nesterov(1.0, 100.0)
         assert p.gamma / (1.0 + p.alpha * p.h) - 1.0 == 0.0
+
+
+def _loop_run(obj, p, x0, iters, certify=True):
+    """agm_run written as a loop over the public per-step functions.
+
+    Returns (data, every certificate result, aborted_at); the driver must
+    reproduce data bit for bit and keep exactly the failed results.
+    """
+    xstar, fstar = obj.minimizer, obj.min_value
+    certified = certify and xstar is not None and fstar is not None
+    st = agm_init(obj, p, x0)
+    e_now = agm_energy(st, obj, p, xstar, fstar).E if certified else np.nan
+    tol_abs = 1e-12 * (1.0 + abs(e_now))
+    gap0 = obj.eval(st.x) - fstar if certified else np.nan
+    rows, results, aborted = [], [], None
+    for k in range(iters + 1):
+        fx, fy = obj.eval(st.x), obj.eval(st.x - p.h * p.h * st.grad_x)
+        row = [k, fx, fy, np.linalg.norm(st.grad_x), e_now, np.nan, np.nan]
+        if certified:
+            row[1:3] = fx - fstar, fy - fstar
+            row[6] = p.bound_prefactor * gap0 / (1.0 + p.rho) ** k
+        rows.append(row)
+        if certified and fx - fstar > 1e6 * max(1.0, gap0):
+            aborted = k
+            break
+        if k == iters:
+            break
+        try:
+            st = agm_step(st, obj, p)
+        except DivergenceError as err:
+            aborted = err.k
+            break
+        if certified:
+            e_next = agm_energy(st, obj, p, xstar, fstar).E
+            results.append(agm_certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
+            rows[-1][5] = results[-1].slack
+            e_now = e_next
+    data = np.array(rows, dtype=float)
+    if not certified:
+        best_x = np.nanmin(data[:, 1])
+        best_y = min(best_x, np.nanmin(data[:, 2]))
+        data[:, 1] -= best_x
+        data[:, 2] -= best_y
+    return data, results, aborted
+
+
+def _quad8():
+    return quadratic_problem(np.geomspace(1.0, 100.0, 8), np.ones(8), seed=8)
+
+
+def _divergent_case():
+    obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=9)
+    bad = replace(agm_params_sc(1.0, 100.0, 2.0, 0.0), gamma=50.0)
+    return obj, bad, obj.minimizer + 1.0, 300, True
+
+
+_SC = agm_params_sc(1.0, 100.0, 1.5, 0.5)
+_X8 = _quad8().minimizer + np.random.default_rng(8).standard_normal(8)
+
+
+class TestRunEquivalence:
+    """The shared driver against the public step, energy and certificate."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: (_quad8(), _SC, _X8, 300, True), id="certified"),
+        pytest.param(lambda: (_quad8(), _SC, _X8, 300, False), id="uncertified"),
+        pytest.param(_divergent_case, id="aborted"),
+        pytest.param(lambda: (_quad8(), replace(_SC, A=3.0 * _SC.A), _X8, 300, True),
+                     id="tripled-A"),
+    ])
+    def test_data_and_failed_certificates_match_the_loop(self, case):
+        obj, p, x0, iters, certify = case()
+        tr = agm_run(obj, p, x0, iters, certify=certify)
+        data, results, aborted = _loop_run(obj, p, x0, iters, certify)
+        assert tr.data.tobytes() == data.tobytes()
+        failed = [c for c in results if not c.passed]
+        assert tr.certificates == failed
+        s = tr.summary
+        assert s["aborted_at"] == aborted
+        assert s["certificates_checked"] == len(results)
+        assert s["certificates_failed"] == len(failed)
+
+    def test_tripled_rate_fails_some_checks(self):
+        tr = agm_run(_quad8(), replace(_SC, A=3.0 * _SC.A), _X8, 300)
+        assert 0 < tr.summary["certificates_failed"] < 300
+
+
+def _counting(obj, counts):
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+    return replace(obj, eval=counted("eval", obj.eval), grad=counted("grad", obj.grad))
+
+
+class TestOracleBudget:
+    def test_one_gradient_and_two_values_per_step(self):
+        # the correction term reuses grad f(x_k): no lookahead gradient, and
+        # f(x_k) serves both the energy and the f_gap_x column
+        counts = {"eval": 0, "grad": 0}
+        iters = 200
+        tr = agm_run(_counting(_quad8(), counts), _SC, _X8, iters)
+        assert tr.summary["certificates_checked"] == iters
+        assert iters <= counts["grad"] <= iters + 2
+        assert 2 * iters <= counts["eval"] <= 2 * iters + 3

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,34 @@ class TestRunExperiment:
         assert exit_code_for(blown) == 1
 
 
+class TestOfflineVerdict:
+    """A discrete run's CSV and JSON alone reproduce every step verdict."""
+
+    @pytest.mark.parametrize("problem,scale", [
+        ("quadratic", 1.0), ("quadratic", 3.0), ("lasso", 1.0), ("lasso", 3.0),
+    ])
+    def test_verdicts_from_energy_slack_and_tolerances(self, tmp_path, problem, scale):
+        config = ExperimentConfig(problem=problem, d=8, q=0.01, seed=2, omega=1.0)
+        obj, x0 = build_problem(config)
+        p = build_params(config, obj)
+        run = momcert.agm_run if problem == "quadratic" else momcert.pgm_run
+        # scale 3 claims three times the certified contraction, so checks fail
+        tr = run(obj, replace(p, A=scale * p.A), x0, 300)
+        tr.write_csv(tmp_path / "run.csv")
+        tr.write_json(tmp_path / "run.json")
+
+        table = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)
+        s = json.loads((tmp_path / "run.json").read_text())
+        energy, slack = table["energy"][:-1], table["certificate_slack"][:-1]
+        tol = s["certificate_tol_abs"] + s["certificate_tol_rel"] * np.abs(energy)
+        failed = np.flatnonzero(~(slack >= -tol))
+        assert s["certificate_tol_abs"] == 1e-12 * (1.0 + abs(table["energy"][0]))
+        assert failed.tolist() == [c.k for c in tr.certificates]
+        assert s["certificates_checked"] == len(slack)
+        assert s["certificates_failed"] == len(failed)
+        assert (len(failed) > 0) == (scale > 1.0)
+
+
 class TestRateTable:
     def test_rows_and_rendering(self, tmp_path):
         base = dict(d=4, q=0.1, iters=150, seed=2)
@@ -348,3 +377,28 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3  # header + two grid rows
+
+    def test_ode_honours_certify_false(self, tmp_path, capsys):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("problem = quadratic\nd = 4\ncertify = false\n")
+        rc = main(["ode", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "certificates: 0/0 passed" in capsys.readouterr().out
+        s = json.loads((tmp_path / "quadratic_ode_sc_w0_s0.json").read_text())
+        assert s["certified"] is False and s["certificates_checked"] == 0
+        table = np.genfromtxt(tmp_path / "quadratic_ode_sc_w0_s0.csv",
+                              delimiter=",", names=True)
+        assert np.all(np.isnan(table["energy"]))
+        assert np.all(np.isnan(table["envelope"]))
+        assert table["f_gap"].min() == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ode_with_overflowing_objective_aborts(self, tmp_path, capsys):
+        # f(x0) overflows to inf while the state stays finite
+        rc = main(["ode", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
+                   "-T", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "run aborted at index 0" in out
+        s = json.loads((tmp_path / "pl_sine_ode_pl_w0_s0.json").read_text())
+        assert s["aborted_at"] == 0 and s["certificates_checked"] == 0

@@ -12,6 +12,8 @@ import pytest
 
 from momcert import (
     AgmState,
+    DivergenceError,
+    ExperimentConfig,
     agm_params_sc,
     agm_step,
     composite_from_smooth,
@@ -28,6 +30,7 @@ from momcert import (
     prox_descent_check,
     quadratic_problem,
 )
+from momcert.harness import build_params, build_problem
 
 
 def _lasso_instance(seed=12, rows=20, cols=6, lam=2.0):
@@ -233,3 +236,114 @@ class TestProxDescent:
                    - 0.5 * s * float(g @ g)
                    + 0.5 * mu / (1.0 - q) * float(dx @ dx))
             assert lhs >= rhs - 1e-9 * (1.0 + abs(lhs))
+
+
+def _loop_run(obj, p, x0, iters, certify=True):
+    """pgm_run written as a loop over the public per-step functions.
+
+    Returns (data, every certificate result, aborted_at); the driver must
+    reproduce data bit for bit and keep exactly the failed results.
+    """
+    xstar, fstar = obj.minimizer, obj.min_value
+    certified = certify and xstar is not None and fstar is not None
+    st = pgm_init(obj, p, x0)
+    e_now = pgm_energy(st, obj, p, xstar, fstar).E if certified else np.nan
+    tol_abs = 1e-12 * (1.0 + abs(e_now))
+    gap0 = obj.total(st.x_prev) - fstar if certified else np.nan
+    rows, results, aborted = [], [], None
+    for k in range(iters + 1):
+        f_prev, f_curr = obj.total(st.x_prev), obj.total(st.x_curr)
+        gnorm = np.linalg.norm(grad_mapping(obj, st.y, p.h * p.h))
+        row = [k, f_prev, f_curr, gnorm, e_now, np.nan, np.nan]
+        if certified:
+            row[1:3] = f_prev - fstar, f_curr - fstar
+            row[6] = p.bound_prefactor * gap0 / (1.0 + p.rho) ** k
+        rows.append(row)
+        if certified and f_curr - fstar > 1e6 * max(1.0, gap0):
+            aborted = k
+            break
+        if k == iters:
+            break
+        try:
+            st = pgm_step(st, obj, p)
+        except DivergenceError as err:
+            aborted = err.k
+            break
+        if certified:
+            e_next = pgm_energy(st, obj, p, xstar, fstar).E
+            results.append(pgm_certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
+            rows[-1][5] = results[-1].slack
+            e_now = e_next
+    data = np.array(rows, dtype=float)
+    if not certified:
+        best = min(np.nanmin(data[:, 1]), np.nanmin(data[:, 2]))
+        data[:, 1:3] -= best
+    return data, results, aborted
+
+
+def _spread_lasso():
+    """An 8-d lasso instance with q = 0.01, where a tripled A fails checks."""
+    config = ExperimentConfig(problem="lasso", d=8, q=0.01, seed=2, omega=1.0)
+    obj, x0 = build_problem(config)
+    return obj, build_params(config, obj), x0
+
+
+def _case(certify=True, scale_a=1.0):
+    obj, p, x0 = _spread_lasso()
+    return obj, replace(p, A=scale_a * p.A), x0, 300, certify
+
+
+def _divergent_case():
+    obj = _lasso_instance()
+    p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, 0.0)
+    return obj, replace(p, h=1.0), np.full(6, 2.0), 200, True
+
+
+class TestRunEquivalence:
+    """The shared driver against the public step, energy and certificate."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: _case(), id="certified"),
+        pytest.param(lambda: _case(certify=False), id="uncertified"),
+        pytest.param(_divergent_case, id="aborted"),
+        pytest.param(lambda: _case(scale_a=3.0), id="tripled-A"),
+    ])
+    def test_data_and_failed_certificates_match_the_loop(self, case):
+        obj, p, x0, iters, certify = case()
+        tr = pgm_run(obj, p, x0, iters, certify=certify)
+        data, results, aborted = _loop_run(obj, p, x0, iters, certify)
+        assert tr.data.tobytes() == data.tobytes()
+        failed = [c for c in results if not c.passed]
+        assert tr.certificates == failed
+        s = tr.summary
+        assert s["aborted_at"] == aborted
+        assert s["certificates_checked"] == len(results)
+        assert s["certificates_failed"] == len(failed)
+
+    def test_tripled_rate_fails_some_checks(self):
+        tr = pgm_run(*_case(scale_a=3.0)[:4])
+        assert 0 < tr.summary["certificates_failed"] < 300
+
+
+class TestOracleBudget:
+    def test_one_gradient_one_prox_one_value_per_step(self):
+        # the gradient mapping taken by the step also fills the next row's
+        # grad_norm, and F(x_{k+1}) serves the energy and both gap columns
+        counts = {"eval": 0, "grad": 0, "prox": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        obj, p, x0 = _spread_lasso()
+        smooth = replace(obj.smooth, eval=counted("eval", obj.smooth.eval),
+                         grad=counted("grad", obj.smooth.grad))
+        prox_term = replace(obj.prox_term, prox=counted("prox", obj.prox_term.prox))
+        iters = 200
+        tr = pgm_run(replace(obj, smooth=smooth, prox_term=prox_term), p, x0, iters)
+        assert tr.summary["certificates_checked"] == iters
+        for name in ("eval", "grad", "prox"):
+            assert iters <= counts[name] <= iters + 2, (name, counts)
