@@ -9,6 +9,7 @@ needed, so the driver itself never calls the oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Iterator, Optional
 
@@ -72,6 +73,9 @@ def run_discrete(
              listed in best_of[j]
     extra    solver-specific summary entries
 
+    A row with a non-finite objective value ends the run at that row, as
+    does, on a certified run, a gap above 1e6 max(1, gap_0).
+
     Row k's certificate_slack is certify_step's slack for the step
     k -> k+1 with tol_abs = 1e-12 (1 + |E_0|); both tolerances go into the
     summary and trace.certificates keeps only the failed checks.
@@ -100,7 +104,9 @@ def run_discrete(
         if certified:
             data[k, 4] = energy(state, f, params, xstar, fstar).E
         n = k + 1
-        if certified and f - fstar > _BLOWUP_FACTOR * max(1.0, gap0):
+        if not (math.isfinite(a) and math.isfinite(b)) or (
+            certified and f - fstar > _BLOWUP_FACTOR * max(1.0, gap0)
+        ):
             aborted_at = k
             break
 

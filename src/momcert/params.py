@@ -5,8 +5,12 @@ every derived constant the certificates need: the energy weights (xi, eta,
 theta), the per-step contraction factor A, the geometric rate rho, the
 positivity margin R_omega entering the gap bound, and the prescription for
 the initial velocity. Bundles are frozen; anything downstream can re-audit
-one with `check_constraints`, which re-derives every inequality and reports
-violations with both sides evaluated.
+one with `check_constraints`, which feeds the bundle's own inputs back
+through the constructor that made it, names every field that differs from
+the rebuilt bundle, and checks the few relations between fields that no
+constructor checks. The audit is not independent of the constructors: it
+shares their formulas, so it catches a tampered or inconsistent bundle but
+not a wrong closed form.
 
 Three growth regimes are supported. "sc" assumes strong convexity along
 rays to the minimizer, "qg" assumes quadratic growth plus plain convexity,
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 __all__ = [
@@ -52,13 +56,24 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _check_mu_l(mu: float, big_l: float) -> None:
-    _require(0.0 < mu < big_l, f"need 0 < mu < L, got mu={mu}, L={big_l}")
+    _require(0.0 < mu < big_l < math.inf,
+             f"need 0 < mu < L < inf, got mu={mu}, L={big_l}")
 
 
 # Relative slack used when validating a caller-supplied alpha against the
 # regime maximum, so that alpha computed as exactly the maximum upstream
 # round-trips through floats.
 _ALPHA_SLACK = 1e-12
+
+
+def _alpha_or_max(alpha: Optional[float], alpha_max: float) -> float:
+    """alpha defaults to alpha_max; a caller's alpha must lie in (0, alpha_max]."""
+    alpha = alpha_max if alpha is None else alpha
+    _require(
+        0.0 < alpha <= alpha_max * (1.0 + _ALPHA_SLACK),
+        f"need 0 < alpha <= {alpha_max:.12g}, got {alpha}",
+    )
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -68,7 +83,6 @@ class AgmParams:
     regime: Regime
     mu: float
     L: float
-    q: float            # mu / L
     h: float            # step, 1 / sqrt(L)
     alpha: float        # viscous damping
     gamma: float        # gradient weight
@@ -98,7 +112,6 @@ class PgmParams:
     regime: Regime
     mu: float
     L: float
-    q: float
     h: float
     alpha: float
     omega: float
@@ -162,12 +175,7 @@ def agm_params_sc(
     _require(1.0 <= gamma <= 2.0, f"need gamma in [1, 2], got {gamma}")
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     alpha_max = (2.0 + omega) * math.sqrt(mu * gamma / (1.0 + omega))
-    if alpha is None:
-        alpha = alpha_max
-    _require(
-        0.0 < alpha <= alpha_max * (1.0 + _ALPHA_SLACK),
-        f"need 0 < alpha <= {alpha_max:.12g}, got {alpha}",
-    )
+    alpha = _alpha_or_max(alpha, alpha_max)
     h = 1.0 / math.sqrt(L)
     ah = alpha * h
     xi = (1.0 + omega) / (2.0 + omega) * alpha
@@ -180,7 +188,7 @@ def agm_params_sc(
     v0 = (2.0 + omega) / ((2.0 + omega) + (1.0 + omega) * ah)
     return AgmParams(
         regime=Regime.STRONGLY_CONVEX,
-        mu=mu, L=L, q=mu / L, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, gamma=gamma, omega=omega,
         xi=xi, eta=eta, theta=theta,
         A=big_a, rho=rho, R_omega=r_om, v0_coeff=v0,
@@ -200,12 +208,7 @@ def agm_params_qg(
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     r = math.sqrt(1.0 + omega)
     alpha_max = (2.0 + omega + r) / (1.0 + omega + r) * math.sqrt(mu * gamma)
-    if alpha is None:
-        alpha = alpha_max
-    _require(
-        0.0 < alpha <= alpha_max * (1.0 + _ALPHA_SLACK),
-        f"need 0 < alpha <= {alpha_max:.12g}, got {alpha}",
-    )
+    alpha = _alpha_or_max(alpha, alpha_max)
     h = 1.0 / math.sqrt(L)
     ah = alpha * h
     xi = (1.0 + omega + r) / (2.0 + omega + r) * alpha
@@ -216,7 +219,7 @@ def agm_params_qg(
     v0 = (2.0 + omega + r) / ((2.0 + omega + r) + (1.0 + omega + r) * ah)
     return AgmParams(
         regime=Regime.QUADRATIC_GROWTH,
-        mu=mu, L=L, q=mu / L, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, gamma=gamma, omega=omega,
         xi=xi, eta=eta, theta=theta,
         A=big_a, rho=rho, R_omega=r_om, v0_coeff=v0,
@@ -240,7 +243,7 @@ def agm_params_pl(mu: float, L: float) -> AgmParams:
     eta, theta = _agm_eta_theta(alpha, gamma, 0.0, 0.0, h)  # eta = 0, theta = gamma
     return AgmParams(
         regime=Regime.POLYAK_LOJASIEWICZ,
-        mu=mu, L=L, q=q, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, gamma=gamma, omega=0.0,
         xi=0.0, eta=eta, theta=theta,
         A=alpha, rho=ah, R_omega=1.0, v0_coeff=1.0,
@@ -271,7 +274,7 @@ def agm_params_nesterov(mu: float, L: float) -> AgmParams:
     big_a = _agm_contraction(alpha, omega, xi, h)
     return AgmParams(
         regime=Regime.STRONGLY_CONVEX,
-        mu=mu, L=L, q=q, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, gamma=gamma, omega=omega,
         xi=xi, eta=eta, theta=theta,
         A=big_a, rho=big_a * h, R_omega=1.0,
@@ -307,12 +310,7 @@ def pgm_params_sc(
     _check_mu_l(mu, L)
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     alpha_max = (2.0 + omega) * math.sqrt(mu / (1.0 + omega))
-    if alpha is None:
-        alpha = alpha_max
-    _require(
-        0.0 < alpha <= alpha_max * (1.0 + _ALPHA_SLACK),
-        f"need 0 < alpha <= {alpha_max:.12g}, got {alpha}",
-    )
+    alpha = _alpha_or_max(alpha, alpha_max)
     h = 1.0 / math.sqrt(L)
     ah = alpha * h
     xi = (1.0 + omega) / (2.0 + omega) * alpha
@@ -322,7 +320,7 @@ def pgm_params_sc(
     r_om = ((1.0 - omega) + (1.0 + omega) * ah) / (1.0 + (1.0 + omega) * ah)
     return PgmParams(
         regime=Regime.STRONGLY_CONVEX,
-        mu=mu, L=L, q=mu / L, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, omega=omega,
         xi=xi, eta=eta, theta=theta,
         A=big_a, rho=rho, R_omega=r_om,
@@ -342,12 +340,7 @@ def pgm_params_qg(
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     r = math.sqrt(1.0 + omega)
     alpha_max = (2.0 + omega + r) / (1.0 + omega + r) * math.sqrt(mu)
-    if alpha is None:
-        alpha = alpha_max
-    _require(
-        0.0 < alpha <= alpha_max * (1.0 + _ALPHA_SLACK),
-        f"need 0 < alpha <= {alpha_max:.12g}, got {alpha}",
-    )
+    alpha = _alpha_or_max(alpha, alpha_max)
     h = 1.0 / math.sqrt(L)
     ah = alpha * h
     xi = (1.0 + omega + r) / (2.0 + omega + r) * alpha
@@ -356,7 +349,7 @@ def pgm_params_qg(
     rho = (1.0 + omega) * ah / ((2.0 + omega + r) + omega * (1.0 + omega + r) * ah)
     return PgmParams(
         regime=Regime.QUADRATIC_GROWTH,
-        mu=mu, L=L, q=mu / L, h=h,
+        mu=mu, L=L, h=h,
         alpha=alpha, omega=omega,
         xi=xi, eta=eta, theta=theta,
         A=big_a, rho=rho, R_omega=1.0 / r,
@@ -365,6 +358,16 @@ def pgm_params_qg(
 
 # ----------------------------------------------------------------------
 # flow bundles
+
+
+def _theta_or_floor(theta_opt: Optional[float], lower: float, omega: float,
+                    floor: str) -> float:
+    """theta defaults to max(lower, omega/2); a caller's theta must clear both."""
+    theta = max(lower, omega / 2.0) if theta_opt is None else float(theta_opt)
+    _require(theta >= lower * (1.0 - 1e-12),
+             f"need theta >= {floor} = {lower:.12g}, got theta = {theta}")
+    _require(theta >= omega / 2.0 - 1e-15, f"need theta >= omega/2 = {omega/2}, got {theta}")
+    return theta
 
 
 def ode_params_sc(
@@ -390,13 +393,8 @@ def ode_params_sc(
         * alpha ** 2 / mu
         * (1.0 + omega * alpha * beta / (2.0 + omega))
     )
-    theta = max(lower, omega / 2.0) if theta_opt is None else float(theta_opt)
-    _require(
-        theta >= lower * (1.0 - 1e-12),
-        f"need theta >= (1+w)/(2+w)^2 * a^2/mu * (1 + w a b/(2+w)) = {lower:.12g}, "
-        f"got theta = {theta}",
-    )
-    _require(theta >= omega / 2.0 - 1e-15, f"need theta >= omega/2 = {omega/2}, got {theta}")
+    theta = _theta_or_floor(theta_opt, lower, omega,
+                            "(1+w)/(2+w)^2 * a^2/mu * (1 + w a b/(2+w))")
     gamma = theta + alpha * beta / (2.0 + omega)
     xi = (1.0 + omega) / (2.0 + omega) * alpha
     eta = omega * xi * (alpha - xi)
@@ -429,13 +427,8 @@ def ode_params_qg(
         * alpha ** 2 / mu
         * (1.0 + omega * alpha * beta / (r * (2.0 + omega + r)))
     )
-    theta = max(lower, omega / 2.0) if theta_opt is None else float(theta_opt)
-    _require(
-        theta >= lower * (1.0 - 1e-12),
-        f"need theta >= ((1+w+r)/(2+w+r))^2 * a^2/mu * (1 + w a b/(r(2+w+r))) "
-        f"= {lower:.12g}, got theta = {theta}",
-    )
-    _require(theta >= omega / 2.0 - 1e-15, f"need theta >= omega/2 = {omega/2}, got {theta}")
+    theta = _theta_or_floor(theta_opt, lower, omega,
+                            "((1+w+r)/(2+w+r))^2 * a^2/mu * (1 + w a b/(r(2+w+r)))")
     gamma = theta + alpha * beta / (2.0 + omega + r)
     xi = (1.0 + omega + r) / (2.0 + omega + r) * alpha
     eta = omega * xi * (alpha - xi)
@@ -472,181 +465,81 @@ def ode_params_pl(mu: float, beta: float, theta: float = 1.0) -> OdeParams:
 # audit
 
 
-def _viol(out: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0):
-    ok = {
-        "<=": lhs <= rhs + tol,
-        ">=": lhs >= rhs - tol,
-        "==": abs(lhs - rhs) <= tol,
-        ">": lhs > rhs - tol,
-    }[op]
-    if not ok:
-        out.append(f"{name}: need {lhs:.12g} {op} {rhs:.12g}")
+def _rebuild(p: Union[AgmParams, PgmParams, OdeParams]):
+    """The bundle that p's own inputs give through the constructor that made it."""
+    sc = p.regime is Regime.STRONGLY_CONVEX
+    pl = p.regime is Regime.POLYAK_LOJASIEWICZ
+    if isinstance(p, AgmParams):
+        if pl:
+            return agm_params_pl(p.mu, p.L)
+        make = agm_params_sc if sc else agm_params_qg
+        return make(p.mu, p.L, p.gamma, p.omega, p.alpha)
+    if isinstance(p, PgmParams):
+        _require(not pl, "no gradient-domination bundle exists for the proximal method")
+        return (pgm_params_sc if sc else pgm_params_qg)(p.mu, p.L, p.omega, p.alpha)
+    if pl:
+        return ode_params_pl(p.mu, p.beta, p.theta)
+    make = ode_params_sc if sc else ode_params_qg
+    return make(p.mu, p.alpha, p.beta, p.omega, p.theta)
 
 
-def _check_agm(p: AgmParams, out: list) -> None:
-    rel = 1e-12 * max(1.0, abs(p.alpha), abs(p.theta))
-    _viol(out, "mu > 0", p.mu, ">", 0.0)
-    _viol(out, "mu < L", p.mu, "<=", p.L, -abs(p.L) * 1e-15)
-    _viol(out, "h == 1/sqrt(L)", p.h, "==", 1.0 / math.sqrt(p.L), 1e-15 * p.h)
-    _viol(out, "q == mu/L", p.q, "==", p.mu / p.L, 1e-15)
-    _viol(out, "omega in [0,1] (lower)", p.omega, ">=", 0.0)
-    _viol(out, "omega in [0,1] (upper)", p.omega, "<=", 1.0)
-    w, a, h = p.omega, p.alpha, p.h
-    if p.regime in (Regime.STRONGLY_CONVEX, Regime.QUADRATIC_GROWTH):
-        _viol(out, "gamma >= 1", p.gamma, ">=", 1.0, 1e-12)
-        _viol(out, "gamma <= 2", p.gamma, "<=", 2.0, 1e-12)
-        _viol(out, "xi >= (1+w)/(2+w) alpha", p.xi, ">=",
-              (1.0 + w) / (2.0 + w) * a, rel)
-        _viol(out, "xi <= alpha", p.xi, "<=", a, rel)
-        eta, theta = _agm_eta_theta(a, p.gamma, w, p.xi, h)
-        _viol(out, "eta matches its definition", p.eta, "==", eta, 1e-12 * max(1.0, abs(eta)))
-        _viol(out, "theta matches its definition", p.theta, "==", theta,
-              1e-12 * max(1.0, abs(theta)))
-        if p.regime is Regime.STRONGLY_CONVEX:
-            amax = (2.0 + w) * math.sqrt(p.mu * p.gamma / (1.0 + w))
-            _viol(out, "alpha <= (2+w) sqrt(mu gamma/(1+w))", a, "<=", amax,
-                  amax * _ALPHA_SLACK)
-            big_a = _agm_contraction(a, w, p.xi, h)
-        else:
-            r = math.sqrt(1.0 + w)
-            amax = (2.0 + w + r) / (1.0 + w + r) * math.sqrt(p.mu * p.gamma)
-            _viol(out, "alpha <= (2+w+r)/(1+w+r) sqrt(mu gamma)", a, "<=", amax,
-                  amax * _ALPHA_SLACK)
-            big_a = (1.0 + w) / (1.0 + w + r) * p.xi / (1.0 + (1.0 + w) * p.xi * h)
-        _viol(out, "A matches its definition", p.A, "==", big_a,
-              1e-12 * max(1.0, abs(big_a)))
-        _viol(out, "rho == A h", p.rho, "==", p.A * h, 1e-12 * max(1e-30, p.A * h))
-        if p.regime is Regime.STRONGLY_CONVEX:
-            r_om = 1.0 - (2.0 * w / ((1.0 + w) * (2.0 + w))) * ((2.0 + w) + a * h) / (1.0 + a * h)
-            v0 = (2.0 + w) / ((2.0 + w) + (1.0 + w) * a * h)
-        else:
-            r = math.sqrt(1.0 + w)
-            r_om = 1.0 - w / (1.0 + w + r)
-            v0 = (2.0 + w + r) / ((2.0 + w + r) + (1.0 + w + r) * a * h)
-        _viol(out, "R_omega matches its definition", p.R_omega, "==", r_om, 1e-12)
-        _viol(out, "v0_coeff matches its definition", p.v0_coeff, "==", v0, 1e-12)
-    else:
-        q = p.q
-        s = math.sqrt(2.0 * q - q * q)
-        _viol(out, "gamma == (sqrt(2q-q^2)-q)/(1-q)", p.gamma, "==",
-              (s - q) / (1.0 - q), 1e-12)
-        _viol(out, "alpha h == 2q/(1+sqrt(2q-q^2))", a * h, "==",
-              2.0 * q / (1.0 + s), 1e-12)
-        _viol(out, "xi == 0", p.xi, "==", 0.0, 0.0)
-        _viol(out, "omega == 0", p.omega, "==", 0.0, 0.0)
-        _viol(out, "eta == 0", p.eta, "==", 0.0, 0.0)
-        _viol(out, "theta == gamma", p.theta, "==", p.gamma, 1e-15)
-        _viol(out, "rho == alpha h", p.rho, "==", a * h, 1e-15)
-        _viol(out, "A == alpha", p.A, "==", a, 1e-15)
-    _viol(out, "rho > 0", p.rho, ">", 0.0)
-    _viol(out, "R_omega > 0", p.R_omega, ">", 0.0)
-
-
-def _check_pgm(p: PgmParams, out: list) -> None:
-    _viol(out, "mu > 0", p.mu, ">", 0.0)
-    _viol(out, "mu < L", p.mu, "<=", p.L, -abs(p.L) * 1e-15)
-    _viol(out, "h == 1/sqrt(L)", p.h, "==", 1.0 / math.sqrt(p.L), 1e-15 * p.h)
-    _viol(out, "q < 1", p.q, "<=", 1.0, -1e-15)
-    _viol(out, "omega in [0,1] (lower)", p.omega, ">=", 0.0)
-    _viol(out, "omega in [0,1] (upper)", p.omega, "<=", 1.0)
-    w, a, h = p.omega, p.alpha, p.h
-    eta, theta = _pgm_eta_theta(a, w, p.xi, h)
-    _viol(out, "eta matches its definition", p.eta, "==", eta, 1e-12 * max(1.0, abs(eta)))
-    _viol(out, "theta matches its definition", p.theta, "==", theta,
-          1e-12 * max(1.0, abs(theta)))
-    big_a = _pgm_contraction(a, w, p.xi, h)
-    _viol(out, "A matches its definition", p.A, "==", big_a, 1e-12 * max(1.0, abs(big_a)))
-    _viol(out, "rho <= A h", p.rho, "<=", p.A * h, 1e-12 * max(1.0, p.A * h))
-    if p.regime is Regime.STRONGLY_CONVEX:
-        amax = (2.0 + w) * math.sqrt(p.mu / (1.0 + w))
-        _viol(out, "alpha <= (2+w) sqrt(mu/(1+w))", a, "<=", amax, amax * _ALPHA_SLACK)
-        _viol(out, "xi == (1+w)/(2+w) alpha", p.xi, "==",
-              (1.0 + w) / (2.0 + w) * a, 1e-12 * a)
-        r_om = ((1.0 - w) + (1.0 + w) * a * h) / (1.0 + (1.0 + w) * a * h)
-        _viol(out, "R_omega matches its definition", p.R_omega, "==", r_om, 1e-12)
-    elif p.regime is Regime.QUADRATIC_GROWTH:
-        r = math.sqrt(1.0 + w)
-        amax = (2.0 + w + r) / (1.0 + w + r) * math.sqrt(p.mu)
-        _viol(out, "alpha <= (2+w+r)/(1+w+r) sqrt(mu)", a, "<=", amax, amax * _ALPHA_SLACK)
-        _viol(out, "xi == (1+w+r)/(2+w+r) alpha", p.xi, "==",
-              (1.0 + w + r) / (2.0 + w + r) * a, 1e-12 * a)
-        _viol(out, "R_omega == 1/sqrt(1+w)", p.R_omega, "==", 1.0 / r, 1e-15)
-    else:
-        out.append("regime: no gradient-domination bundle exists for the proximal method")
-    _viol(out, "rho > 0", p.rho, ">", 0.0)
-    _viol(out, "R_omega > 0", p.R_omega, ">", 0.0)
-
-
-def _check_ode(p: OdeParams, out: list) -> None:
-    _viol(out, "mu > 0", p.mu, ">", 0.0)
-    _viol(out, "alpha > 0", p.alpha, ">", 0.0)
-    _viol(out, "beta > 0", p.beta, ">", 0.0)
-    _viol(out, "theta > 0", p.theta, ">", 0.0)
-    _viol(out, "xi >= 0", p.xi, ">=", 0.0)
-    _viol(out, "xi <= alpha", p.xi, "<=", p.alpha, 1e-12 * p.alpha)
-    _viol(out, "eta == omega xi (alpha - xi)", p.eta, "==",
-          p.omega * p.xi * (p.alpha - p.xi), 1e-12 * max(1.0, abs(p.eta)))
-    w, a, b = p.omega, p.alpha, p.beta
-    if p.regime is Regime.STRONGLY_CONVEX:
-        _viol(out, "theta >= omega/2", p.theta, ">=", w / 2.0, 1e-15)
-        lower = (1.0 + w) / (2.0 + w) ** 2 * a ** 2 / p.mu * (1.0 + w * a * b / (2.0 + w))
-        _viol(out, "theta >= growth lower bound", p.theta, ">=", lower, 1e-12 * lower)
-        _viol(out, "gamma == theta + alpha beta/(2+w)", p.gamma, "==",
-              p.theta + a * b / (2.0 + w), 1e-12 * max(1.0, p.gamma))
-        _viol(out, "xi == (1+w)/(2+w) alpha", p.xi, "==",
-              (1.0 + w) / (2.0 + w) * a, 1e-12 * a)
-        _viol(out, "decay == (1+w)/(2+w) alpha", p.decay_rate, "==",
-              (1.0 + w) / (2.0 + w) * a, 1e-12 * a)
-    elif p.regime is Regime.QUADRATIC_GROWTH:
-        r = math.sqrt(1.0 + w)
-        _viol(out, "theta >= omega/2", p.theta, ">=", w / 2.0, 1e-15)
-        lower = ((1.0 + w + r) ** 2 / (2.0 + w + r) ** 2 * a ** 2 / p.mu
-                 * (1.0 + w * a * b / (r * (2.0 + w + r))))
-        _viol(out, "theta >= growth lower bound", p.theta, ">=", lower, 1e-12 * lower)
-        _viol(out, "gamma == theta + alpha beta/(2+w+r)", p.gamma, "==",
-              p.theta + a * b / (2.0 + w + r), 1e-12 * max(1.0, p.gamma))
-        _viol(out, "xi == (1+w+r)/(2+w+r) alpha", p.xi, "==",
-              (1.0 + w + r) / (2.0 + w + r) * a, 1e-12 * a)
-        _viol(out, "decay == (1+w)/(2+w+r) alpha", p.decay_rate, "==",
-              (1.0 + w) / (2.0 + w + r) * a, 1e-12 * a)
-        _viol(out, "prefactor == 1 + sqrt(1+w)", p.prefactor, "==", 1.0 + r, 1e-12)
-    else:
-        _viol(out, "alpha == mu beta", p.alpha, "==", p.mu * p.beta,
-              1e-12 * max(1.0, p.alpha))
-        _viol(out, "gamma == theta + alpha beta", p.gamma, "==",
-              p.theta + a * b, 1e-12 * max(1.0, p.gamma))
-        _viol(out, "xi == 0", p.xi, "==", 0.0, 0.0)
-        _viol(out, "omega == 0", p.omega, "==", 0.0, 0.0)
-        _viol(out, "decay == 2 mu beta", p.decay_rate, "==", 2.0 * p.mu * p.beta,
-              1e-12 * max(1.0, p.decay_rate))
-        _viol(out, "prefactor == 1", p.prefactor, "==", 1.0, 0.0)
-    # common identity: theta == gamma - (alpha - xi) beta
-    _viol(out, "theta == gamma - (alpha - xi) beta", p.theta, "==",
-          p.gamma - (p.alpha - p.xi) * p.beta, 1e-12 * max(1.0, p.theta))
+def _relations(p: Union[AgmParams, PgmParams, OdeParams]) -> list[tuple]:
+    """(relation, lhs, rhs, holds) for each relation between fields that no
+    constructor checks."""
+    a, xi = p.alpha, p.xi
+    if isinstance(p, OdeParams):
+        rhs = p.gamma - (a - xi) * p.beta
+        return [
+            ("xi <= alpha", xi, a, xi <= a + 1e-12 * a),
+            ("theta == gamma - (alpha - xi) beta", p.theta, rhs,
+             abs(p.theta - rhs) <= 1e-12 * max(1.0, p.theta)),
+        ]
+    ah = p.A * p.h
+    out = [("rho > 0", p.rho, 0.0, p.rho > 0.0),
+           ("R_omega > 0", p.R_omega, 0.0, p.R_omega > 0.0)]
+    if isinstance(p, PgmParams):
+        return out + [("rho <= A h", p.rho, ah, p.rho <= ah + 1e-12 * max(1.0, ah)),
+                      ("xi <= alpha", xi, a, xi <= a + 1e-12 * a)]
+    if p.regime is Regime.POLYAK_LOJASIEWICZ:
+        return out
+    tol = 1e-12 * max(1.0, abs(a), abs(p.theta))
+    low = (1.0 + p.omega) / (2.0 + p.omega) * a
+    return out + [("rho == A h", p.rho, ah, abs(p.rho - ah) <= 1e-12 * max(1e-30, ah)),
+                  ("xi >= (1+w)/(2+w) alpha", xi, low, xi >= low - tol),
+                  ("xi <= alpha", xi, a, xi <= a + tol)]
 
 
 def check_constraints(
     params: Union[AgmParams, PgmParams, OdeParams], regime: Regime
 ) -> list[str]:
-    """Re-derive every admissibility condition; return violations (empty if clean).
+    """Audit a bundle; return its violations (empty if clean).
 
-    Each entry names the inequality and shows both sides numerically. A
-    regime mismatch between the bundle and the requested regime is itself
-    a violation.
+    The bundle's inputs (mu, L, gamma, omega, alpha; for the flow mu,
+    alpha, beta, omega, theta) go back through the constructor of its
+    regime. A rejected input is reported with the constructor's message;
+    otherwise every field more than 1e-12 relative away from the rebuilt
+    bundle is named, and so is each failed relation that no constructor
+    checks (see `_relations`). A regime mismatch is itself a violation.
+    Sharing the constructors' formulas, the audit catches a tampered or
+    inconsistent bundle, not a wrong closed form.
     """
-    out: list[str] = []
     if params.regime is not regime:
-        out.append(
+        return [
             f"regime: bundle was built for {params.regime.value!r}, "
             f"checked against {regime.value!r}"
-        )
-        return out
-    if isinstance(params, AgmParams):
-        _check_agm(params, out)
-    elif isinstance(params, PgmParams):
-        _check_pgm(params, out)
-    elif isinstance(params, OdeParams):
-        _check_ode(params, out)
-    else:
-        out.append(f"unknown bundle type {type(params).__name__}")
+        ]
+    if not isinstance(params, (AgmParams, PgmParams, OdeParams)):
+        return [f"unknown bundle type {type(params).__name__}"]
+    try:
+        ref = _rebuild(params)
+    except ValueError as err:
+        return [f"inputs: {err}"]
+    out = []
+    for f in fields(params):
+        got, want = getattr(params, f.name), getattr(ref, f.name)
+        if f.name != "regime" and not math.isclose(got, want, rel_tol=1e-12):
+            out.append(f"{f.name}: bundle has {got:.12g}, its inputs give {want:.12g}")
+    for name, lhs, rhs, holds in _relations(params):
+        if not holds:
+            out.append(f"{name} fails: {lhs:.12g} vs {rhs:.12g}")
     return out

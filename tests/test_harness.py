@@ -291,7 +291,7 @@ class TestRateTable:
         ])
         assert len(rows) == 2
         assert rows[0]["gamma"] == 1.0 and rows[1]["gamma"] == 2.0
-        assert all(r["certificates"].split("/")[0] == r["certificates"].split("/")[1]
+        assert all(r["certificates_passed"] == r["certificates_checked"] > 0
                    for r in rows)
         assert rows[1]["rho_theory"] > rows[0]["rho_theory"]
         text = rate_table_text(rows)
@@ -402,3 +402,14 @@ class TestCli:
         assert "run aborted at index 0" in out
         s = json.loads((tmp_path / "pl_sine_ode_pl_w0_s0.json").read_text())
         assert s["aborted_at"] == 0 and s["certificates_checked"] == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solve_with_overflowing_objective_aborts(self, tmp_path, capsys):
+        # f(x0) overflows to inf, so the discrete run ends at its first row
+        rc = main(["solve", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
+                   "--iters", "50", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "run aborted at index 0" in capsys.readouterr().out
+        s = json.loads((tmp_path / "pl_sine_agm_pl_s0.json").read_text())
+        assert s["aborted_at"] == 0 and s["rows"] == 1
+        assert s["certificates_checked"] == 0 and s["certificates_failed"] == 0

@@ -6,7 +6,7 @@ short) and frozen as exact float literals.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -247,6 +247,31 @@ FACTORIES = [
     lambda: ode_params_pl(2.0, 0.25),
 ]
 
+TAMPERS = {"x2": lambda v: 2.0 * v, "negated": lambda v: -v, "plus0.1": lambda v: v + 0.1}
+
+
+def _tamper_cases(admissible: bool) -> list:
+    """(make, field, tamper) over FACTORIES x float fields x TAMPERS, skipping
+    tampers that leave the value unchanged (x2 or negating 0.0). Raising mu
+    on an sc/qg bundle keeps its alpha under the larger mu's cap, so only
+    those tampers leave an admissible bundle; `admissible` picks them."""
+    cases = []
+    for i, make in enumerate(FACTORIES):
+        p = make()
+        for f in fields(p):
+            if f.name == "regime":
+                continue
+            v = getattr(p, f.name)
+            for name, tamper in TAMPERS.items():
+                if tamper(v) == v:
+                    continue
+                raises_mu = (f.name == "mu" and tamper(v) > v
+                             and p.regime is not Regime.POLYAK_LOJASIEWICZ)
+                if raises_mu == admissible:
+                    cases.append(pytest.param(make, f.name, tamper,
+                                              id=f"{i}-{f.name}-{name}"))
+    return cases
+
 
 class TestAudit:
     @pytest.mark.parametrize("make", FACTORIES)
@@ -284,3 +309,20 @@ class TestAudit:
             assert 0.0 <= p.xi <= p.alpha * (1.0 + 1e-15)
             if p.xi > 0.0:
                 assert p.alpha - p.xi > 0.0
+
+    @pytest.mark.parametrize("make,field,tamper", _tamper_cases(admissible=False))
+    def test_every_single_field_tamper_is_flagged(self, make, field, tamper):
+        p = make()
+        bad = check_constraints(replace(p, **{field: tamper(getattr(p, field))}), p.regime)
+        assert bad
+
+    @pytest.mark.parametrize("make,field,tamper", _tamper_cases(admissible=True))
+    def test_raising_mu_keeps_sc_and_qg_bundles_admissible(self, make, field, tamper):
+        p = make()
+        assert check_constraints(replace(p, mu=tamper(p.mu)), p.regime) == []
+
+    def test_infinite_curvature_is_a_rejected_input(self):
+        # at L = inf agm_params_pl would divide 0 by 0
+        p = agm_params_pl(1.0, 100.0)
+        bad = check_constraints(replace(p, L=math.inf), p.regime)
+        assert len(bad) == 1 and bad[0].startswith("inputs: need 0 < mu < L < inf")
