@@ -8,16 +8,21 @@ the rate actually observed.
 """
 
 from .agm import (
-    AGM_COLUMNS,
     AgmState,
-    agm_certify_step,
     agm_energy,
     agm_init,
     agm_run,
     agm_step,
     nesterov_reference_step,
 )
-from .certificates import CertificateResult, DivergenceError, energy_contraction
+from .certificates import (
+    CertificateResult,
+    DivergenceError,
+    certify_step,
+    certify_trace,
+    ode_certify,
+)
+from .discrete import DISCRETE_COLUMNS
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -31,8 +36,6 @@ from .ode import (
     OdeState,
     default_dt,
     flow_vector_field,
-    ode_certify,
-    ode_certify_arrays,
     ode_energy,
     ode_run,
     rk4_step,
@@ -69,9 +72,7 @@ from .params import (
     pgm_params_sc,
 )
 from .pgm import (
-    PGM_COLUMNS,
     PgmState,
-    pgm_certify_step,
     pgm_energy,
     pgm_init,
     pgm_run,
@@ -83,25 +84,23 @@ from .trace import Trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGM_COLUMNS",
     "AgmParams",
     "AgmState",
     "CertificateResult",
     "CompositeObjective",
     "ConfigError",
+    "DISCRETE_COLUMNS",
     "DivergenceError",
     "ExperimentConfig",
     "ODE_COLUMNS",
     "OdeParams",
     "OdeState",
-    "PGM_COLUMNS",
     "PgmParams",
     "PgmState",
     "ProxTerm",
     "Regime",
     "SmoothObjective",
     "Trace",
-    "agm_certify_step",
     "agm_energy",
     "agm_init",
     "agm_params_nesterov",
@@ -110,10 +109,11 @@ __all__ = [
     "agm_params_sc",
     "agm_run",
     "agm_step",
+    "certify_step",
+    "certify_trace",
     "check_constraints",
     "composite_from_smooth",
     "default_dt",
-    "energy_contraction",
     "estimate_pl_constant",
     "finite_diff_gradient_check",
     "fit_linear_rate",
@@ -123,13 +123,11 @@ __all__ = [
     "main",
     "nesterov_reference_step",
     "ode_certify",
-    "ode_certify_arrays",
     "ode_energy",
     "ode_params_pl",
     "ode_params_qg",
     "ode_params_sc",
     "ode_run",
-    "pgm_certify_step",
     "pgm_energy",
     "pgm_init",
     "pgm_params_qg",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DivergenceError
-from .discrete import DISCRETE_COLUMNS, certify_step, run_discrete
+from .discrete import run_discrete
 from .oracle import SmoothObjective
 from .params import AgmParams
 from .trace import Trace
@@ -46,13 +46,9 @@ __all__ = [
     "agm_init",
     "agm_step",
     "agm_energy",
-    "agm_certify_step",
     "agm_run",
     "nesterov_reference_step",
-    "AGM_COLUMNS",
 ]
-
-AGM_COLUMNS = DISCRETE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,6 @@ def _energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
         + params.theta * psi
     )
     return EnergyTerms(phi=phi, sigma=sigma, psi=psi, E=e)
-
-
-agm_certify_step = certify_step
 
 
 def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray):

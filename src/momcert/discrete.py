@@ -15,12 +15,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .certificates import (
-    CertificateResult, DivergenceError, certificate_results, energy_contraction,
-)
+from .certificates import DivergenceError, certify_trace
 from .trace import Trace
 
-__all__ = ["DISCRETE_COLUMNS", "certify_step", "run_discrete"]
+__all__ = ["DISCRETE_COLUMNS", "run_discrete"]
 
 DISCRETE_COLUMNS = (
     "k", "f_gap_x", "f_gap_y", "grad_norm", "energy",
@@ -29,22 +27,6 @@ DISCRETE_COLUMNS = (
 
 # Gaps above this multiple of the initial gap abort a certified run.
 _BLOWUP_FACTOR = 1e6
-_TOL_REL = 1e-9
-
-
-def certify_step(
-    energy_now: float,
-    energy_next: float,
-    params,
-    tol_rel: float = _TOL_REL,
-    tol_abs: float = 1e-12,
-    k: int = 0,
-) -> CertificateResult:
-    """Contraction certificate (1 + A h) E_{k+1} <= E_k between consecutive
-    energies; run_discrete makes the same check over a whole run at once."""
-    return energy_contraction(
-        k, energy_now, energy_next, params.A, params.h, tol_rel, tol_abs
-    )
 
 
 def run_discrete(
@@ -76,9 +58,9 @@ def run_discrete(
     A row with a non-finite objective value ends the run at that row, as
     does, on a certified run, a gap above 1e6 max(1, gap_0).
 
-    Row k's certificate_slack is certify_step's slack for the step
-    k -> k+1 with tol_abs = 1e-12 (1 + |E_0|); both tolerances go into the
-    summary and trace.certificates keeps only the failed checks.
+    The summary records A and h, and certify_trace then checks the
+    energy column: row k's certificate_slack is the slack of the step
+    k -> k+1, and trace.certificates keeps only the failed checks.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -120,16 +102,6 @@ def run_discrete(
         best = np.nanmin(data[:, 1:3], axis=0).tolist()
         data[:, 1:3] -= [min(best[i] for i in cols) for cols in best_of]
 
-    e = data[:, 4]
-    m = n - 1 if certified else 0
-    tol_abs = 1e-12 * (1.0 + abs(float(e[0])))
-    rhs = e[:m]
-    lhs = (1.0 + params.A * params.h) * e[1:m + 1]
-    slack = rhs - lhs
-    passed = slack >= -(tol_abs + _TOL_REL * np.abs(rhs))
-    data[:m, 5] = slack
-    failed = np.flatnonzero(~passed)
-
     summary = {
         "solver": kind,
         "regime": params.regime.value,
@@ -137,6 +109,7 @@ def run_discrete(
         "omega": params.omega,
         "alpha": params.alpha,
         "h": params.h,
+        "A": params.A,
         "mu": params.mu,
         "L": params.L,
         "rho_theory": params.rho,
@@ -144,18 +117,11 @@ def run_discrete(
         "iters_requested": iters,
         "rows": int(n),
         "certified": certified,
-        "certificates_checked": m,
-        "certificates_failed": len(failed),
-        "min_certificate_slack": min(slack.tolist(), default=np.nan),
-        "certificate_tol_abs": tol_abs,
-        "certificate_tol_rel": _TOL_REL,
         "initial_gap": float(data[0, 1]),
         "final_gap": float(data[-1, 1 + gap]),
         "aborted_at": aborted_at,
-        "wall_time_s": time.perf_counter() - t_start,
     }
-    return Trace(
-        kind=kind, columns=DISCRETE_COLUMNS, data=data, summary=summary,
-        certificates=certificate_results(np.arange(m), lhs, rhs, slack, passed,
-                                         failed),
-    )
+    trace = certify_trace(Trace(kind=kind, columns=DISCRETE_COLUMNS, data=data,
+                                summary=summary))
+    summary["wall_time_s"] = time.perf_counter() - t_start
+    return trace

@@ -32,6 +32,7 @@ from .oracle import (
     SmoothObjective,
     lasso_problem,
     pl_sine_problem,
+    _random_orthogonal,
     quadratic_problem,
 )
 from .params import (
@@ -109,6 +110,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"regime must be one of ('sc', 'qg', 'pl'), got {self.regime!r}"
             ) from None
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name not in _FLOAT_KEYS or (v is None and f.default is None):
+                continue  # None stands for a derived default
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v}")
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.problem == "quadratic" and self.d < 2:
             raise ConfigError("quadratic instances need d >= 2 to realize q < 1")
         if self.problem != "pl_sine":
@@ -136,7 +145,6 @@ class ExperimentConfig:
 
 _BOOL_KEYS = {"certify", "quiet"}
 _INT_KEYS = {"d", "seed", "iters"}
-_STR_KEYS = {"problem", "solver", "regime", "out", "csv", "json"}
 _FLOAT_KEYS = {
     "q", "L", "lam", "x0", "x0_scale", "gamma", "omega", "alpha", "beta",
     "theta", "horizon", "dt",
@@ -209,8 +217,8 @@ def build_problem(
 
     mu = config.q * config.L
     sv = np.sqrt(np.geomspace(mu, config.L, config.d))
-    u = _seeded_orthogonal(config.d, rng_problem)
-    v = _seeded_orthogonal(config.d, rng_problem)
+    u = _random_orthogonal(config.d, rng_problem)
+    v = _random_orthogonal(config.d, rng_problem)
     a = u @ (sv[:, None] * v.T)
     b = 3.0 * rng_problem.standard_normal(config.d)
     lam = config.lam
@@ -219,11 +227,6 @@ def build_problem(
     obj = lasso_problem(a, b, lam)
     x0 = obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
     return obj, x0
-
-
-def _seeded_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
 
 
 def _regime_mu(obj, regime: Regime, smooth: SmoothObjective) -> float:
@@ -299,22 +302,19 @@ def build_params(config: ExperimentConfig, obj) -> Union[
 # rate fitting
 
 
-def fit_linear_rate(trace: Trace, window: float = 0.5) -> Optional[float]:
+def fit_linear_rate(trace: Trace) -> Optional[float]:
     """Empirical rate from a least-squares fit of log(gap) on the tail.
 
     Uses the certified gap column (f_gap_y for the discrete solvers,
     f_gap for the flow). Records after the gap first drops below
     1e-13 * initial are discarded as float noise; the fit then runs on
-    the last `window` fraction of what remains, but never on the first
-    10% of it (transient). Needs at least 20 positive-gap records, else
-    returns None.
+    the last half of what remains, past the transient. Needs at least 20
+    positive-gap records, else returns None.
 
     For discrete traces the return value rho_emp satisfies
     gap ~ (1 + rho_emp)^-k; for flow traces it is the continuous decay
     rate, gap ~ exp(-rate t).
     """
-    if not 0.0 < window <= 1.0:
-        raise ValueError(f"window must be in (0, 1], got {window}")
     if trace.kind == "ode":
         xs = trace.column("t")
         gaps = trace.column("f_gap")
@@ -326,8 +326,7 @@ def fit_linear_rate(trace: Trace, window: float = 0.5) -> Optional[float]:
         return None
     below = np.nonzero(gaps < 1e-13 * gaps[0])[0]
     cutoff = int(below[0]) if below.size else n
-    lo = max(int(math.ceil(0.1 * cutoff)), int(math.floor(cutoff * (1.0 - window))))
-    sel = slice(lo, cutoff)
+    sel = slice(cutoff // 2, cutoff)
     x = xs[sel]
     g = gaps[sel]
     keep = np.isfinite(g) & (g > 0)
@@ -505,8 +504,10 @@ def _add_common(p: argparse.ArgumentParser, grids: bool = False) -> None:
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--regime", choices=[r.value for r in Regime])
     if grids:
-        p.add_argument("--gamma", help="comma-separated list, e.g. 1,1.5,2")
-        p.add_argument("--omega", help="comma-separated list, e.g. 0,0.5,1")
+        p.add_argument("--gamma", type=float_list, dest="gammas",
+                       help="comma-separated list, e.g. 1,1.5,2")
+        p.add_argument("--omega", type=float_list, dest="omegas",
+                       help="comma-separated list, e.g. 0,0.5,1")
     else:
         p.add_argument("--gamma", type=float)
         p.add_argument("--omega", type=float)
@@ -540,13 +541,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _parse_grid(spec: Optional[str], fallback: float) -> list[float]:
-    if spec is None:
-        return [fallback]
-    try:
-        return [float(tok) for tok in str(spec).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"bad grid value {spec!r}; expected comma-separated floats")
+def float_list(spec: str) -> list[float]:
+    """Parse a grid flag: comma-separated floats, empty items skipped."""
+    return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
 def _report(trace: Trace, quiet: bool) -> None:
@@ -601,13 +598,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     base = _config_from_args(args)
-    gammas = _parse_grid(getattr(args, "gamma", None), base.gamma if isinstance(base.gamma, float) else 1.0)
-    omegas = _parse_grid(getattr(args, "omega", None), base.omega if isinstance(base.omega, float) else 0.0)
-    configs = []
-    for g in gammas:
-        for w in omegas:
-            configs.append(replace(base, gamma=g, omega=w))
-    return configs
+    gammas = [base.gamma] if args.gammas is None else args.gammas
+    omegas = [base.omega] if args.omegas is None else args.omegas
+    if not gammas or not omegas:
+        raise ConfigError("a --gamma or --omega grid needs at least one value")
+    return [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
 
 
 def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:

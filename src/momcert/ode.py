@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateResult, DivergenceError, certificate_results
+from .certificates import DivergenceError, certify_trace
 from .oracle import SmoothObjective
 from .params import OdeParams
 from .trace import Trace
@@ -40,8 +40,6 @@ __all__ = [
     "rk4_step",
     "ode_energy",
     "ode_run",
-    "ode_certify",
-    "ode_certify_arrays",
     "default_dt",
     "ODE_COLUMNS",
 ]
@@ -92,17 +90,15 @@ def _rk4(w: np.ndarray, dt: float, grad, a: np.ndarray, b: np.ndarray,
     return w
 
 
-def _energy(x, z, f, xstar, fstar, params: OdeParams) -> tuple[float, float]:
-    """(eps, f_gap) at the state (x, z) given its objective value f."""
+def _energy(x, z, f, xstar, fstar, params: OdeParams) -> float:
+    """eps at the state (x, z) given its objective value f."""
     dx = x - xstar
     phi = z + params.xi * dx
-    gap = float(f - fstar)
-    eps = (
+    return (
         0.5 * float(phi.dot(phi))
         - 0.5 * params.eta * float(dx.dot(dx))
-        + params.theta * gap
+        + params.theta * float(f - fstar)
     )
-    return eps, gap
 
 
 def flow_vector_field(
@@ -137,8 +133,9 @@ def ode_energy(
     xstar: np.ndarray,
     fstar: float,
 ) -> OdeEnergy:
-    eps, gap = _energy(state.x, state.z, obj.eval(state.x), xstar, fstar, params)
-    return OdeEnergy(eps=eps, f_gap=gap)
+    f = obj.eval(state.x)
+    return OdeEnergy(eps=_energy(state.x, state.z, f, xstar, fstar, params),
+                     f_gap=float(f - fstar))
 
 
 def default_dt(obj: SmoothObjective, params: OdeParams) -> float:
@@ -161,13 +158,13 @@ def ode_run(
     column is the certified gap bound prefactor * gap_0 * exp(-rate t).
     The requested dt (or the stiffness default) is shrunk to divide the
     horizon exactly. When `certify` is set and ground truth is available
-    the energy decay certificates are evaluated immediately and their
-    slack fills the last column (row j certifies the step into sample j;
-    row 0 holds NaN); trace.certificates keeps only the failed checks.
-    Otherwise energy and envelope are NaN and f_gap is measured against
-    the best value seen. A step that leaves the state non-finite ends the
-    run with aborted_at set to its index; a sampled objective value that
-    is not finite marks the run aborted at the first such sample.
+    certify_trace checks the energy decay; row j's slack certifies the
+    step into sample j (row 0 holds NaN) and trace.certificates keeps only
+    the failed checks. Otherwise energy and envelope are NaN and f_gap is
+    measured against the best value seen. The run ends, with aborted_at
+    set to the sample's index, at the first sampled objective value that
+    is not finite (kept as the last row) or at a step that leaves the
+    state non-finite; an aborted run is not certified.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -186,7 +183,6 @@ def ode_run(
     certified = bool(certify and xstar is not None and fstar is not None)
 
     data = np.full((n + 1, len(ODE_COLUMNS)), np.nan)
-    fvals = np.full(n + 1, np.nan)
     aborted_at: Optional[int] = None
 
     grad, feval = obj.grad, obj.eval
@@ -195,21 +191,19 @@ def ode_run(
     w[0] = x0
     rate = params.decay_rate
 
-    rows = 0
     for j in range(n + 1):
         t = j * dt
-        x, z = w[0], w[1]
-        f = feval(x)
-        fvals[j] = f
-        data[j, 0] = t
+        f = feval(w[0])
+        data[j, 0], data[j, 1] = t, f
         if certified:
-            eps, gap = _energy(x, z, f, xstar, fstar, params)
             if j == 0:
                 scale = params.prefactor * (f - fstar)
-            data[j, 1] = gap
-            data[j, 2] = eps
+            data[j, 2] = _energy(w[0], w[1], f, xstar, fstar, params)
             data[j, 3] = scale * math.exp(-rate * t)
         rows = j + 1
+        if not math.isfinite(f):
+            aborted_at = j
+            break
         if j == n:
             break
         try:
@@ -219,12 +213,8 @@ def ode_run(
             break
 
     data = data[:rows]
-    bad = np.flatnonzero(~np.isfinite(fvals[:rows]))
-    if bad.size:
-        aborted_at = int(bad[0])
-    if not certified:
-        best = np.nanmin(fvals[:rows])
-        data[:, 1] = fvals[:rows] - best
+    f0 = float(data[0, 1])
+    data[:, 1] -= (fstar if certified else np.nanmin(data[:, 1]))
 
     summary = {
         "solver": "ode",
@@ -243,86 +233,12 @@ def ode_run(
         "rows": int(rows),
         "certified": certified,
         "eps0": float(data[0, 2]) if certified else np.nan,
-        "f_scale": float(abs(fvals[0]) + abs(fstar)) if certified else np.nan,
+        "f_scale": float(abs(f0) + abs(fstar)) if certified else np.nan,
         "initial_gap": float(data[0, 1]),
         "final_gap": float(data[-1, 1]),
         "aborted_at": aborted_at,
-        "certificates_checked": 0,
-        "certificates_failed": 0,
     }
-    trace = Trace(kind="ode", columns=ODE_COLUMNS, data=data, summary=summary)
-
-    if certified and aborted_at is None:
-        k, lhs, rhs, slack = ode_certify_arrays(data[:, 0], data[:, 2], rate, summary)
-        data[1:, ODE_COLUMNS.index("certificate_slack")] = slack[:-1]
-        passed = slack >= 0.0
-        failed = np.flatnonzero(~passed)
-        trace.certificates = certificate_results(k, lhs, rhs, slack, passed, failed)
-        summary["certificates_checked"] = len(slack)
-        summary["certificates_failed"] = len(failed)
-        summary["min_certificate_slack"] = float(slack.min())
+    trace = certify_trace(Trace(kind="ode", columns=ODE_COLUMNS, data=data,
+                                summary=summary))
     summary["wall_time_s"] = time.perf_counter() - t_start
     return trace
-
-
-def ode_certify_arrays(
-    t: np.ndarray,
-    eps: np.ndarray,
-    rate: float,
-    summary: dict,
-    tol_glob: float = 1e-6,
-    c_step: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array core of ode_certify: columns (k, lhs, rhs, slack).
-
-    For n samples, entry j < n - 1 certifies the step into sample
-    k = j + 1 and entry n - 1 is the global check (k = -1) at its worst
-    sample. A check passes when its slack is nonnegative. The summary
-    supplies dt, L, alpha, beta and, optionally, f_scale.
-    """
-    if np.any(~np.isfinite(eps)):
-        raise ValueError("trace has no finite energy column; was the run certified?")
-    s = summary
-    dt = float(s["dt"])
-    lam = math.sqrt(float(s["L"]) * (1.0 + float(s["alpha"]) * float(s["beta"])))
-    tol_step = c_step * (lam * dt) ** 4
-    eps0 = eps[0]
-
-    growth = math.exp(rate * dt)
-    env = eps0 * np.exp(-rate * t)
-    noise = 8.0 * np.finfo(float).eps * (abs(eps0) + float(s.get("f_scale", 0.0)))
-    floor = 1e-14 * env + noise
-    lhs = eps[1:] * growth
-    rhs = eps[:-1] * (1.0 + tol_step) + floor[:-1]
-
-    bound = env * (1.0 + tol_glob) + 1e-18 * abs(eps0)
-    slacks = bound - eps
-    worst = int(np.argmin(slacks))
-    return (
-        np.append(np.arange(1, len(eps)), -1),
-        np.append(lhs, eps[worst]),
-        np.append(rhs, bound[worst]),
-        np.append(rhs - lhs, slacks[worst]),
-    )
-
-
-def ode_certify(
-    trace: Trace, rate: float, tol_glob: float = 1e-6, c_step: float = 1.0
-) -> list[CertificateResult]:
-    """Certify energy decay at the given exponential rate.
-
-    Per step: the rescaled energy m(t) = eps(t) exp(rate t) must not grow,
-    up to an integrator allowance c_step * (Lambda dt)^4 relative to the
-    current energy, with Lambda = sqrt(L (1 + alpha beta)) the stiffness
-    scale (checked in the overflow-safe stepwise form
-    eps_{j+1} exp(rate dt) <= eps_j (1 + tol)). The absolute floor tracks
-    the resolution of the energy measurement itself: once eps has decayed
-    to a few ulps of the objective values entering it, consecutive
-    samples wobble by rounding noise and the comparison carries no
-    information. Globally: eps(t) <= eps(0) exp(-rate t) (1 + tol_glob)
-    at every sample. The global check is appended as a final result with
-    k = -1.
-    """
-    k, lhs, rhs, slack = ode_certify_arrays(trace.column("t"), trace.column("energy"),
-                                            rate, trace.summary, tol_glob, c_step)
-    return certificate_results(k, lhs, rhs, slack, slack >= 0.0, range(len(k)))

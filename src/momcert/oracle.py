@@ -102,12 +102,8 @@ def composite_from_smooth(obj: SmoothObjective) -> CompositeObjective:
     )
 
 
-def _random_orthogonal(d: int, seed: int) -> np.ndarray:
-    # Seed 0 is reserved for the unrotated case so hand-checked
-    # eigenbasis examples stay exact.
-    if seed == 0:
-        return np.eye(d)
-    rng = np.random.default_rng(seed)
+def _random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x d orthogonal matrix drawn from rng (QR with a sign fix)."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
 
@@ -133,7 +129,9 @@ def quadratic_problem(
         raise ValueError(f"b has shape {bvec.shape}, spectrum {lam.shape}")
 
     d = lam.size
-    u = _random_orthogonal(d, seed)
+    # Seed 0 is reserved for the unrotated case so hand-checked
+    # eigenbasis examples stay exact.
+    u = np.eye(d) if seed == 0 else _random_orthogonal(d, np.random.default_rng(seed))
     qmat = u.T @ (lam[:, None] * u)
     qmat = 0.5 * (qmat + qmat.T)  # symmetrize away qr round-off
 

@@ -60,6 +60,11 @@ def _check_mu_l(mu: float, big_l: float) -> None:
              f"need 0 < mu < L < inf, got mu={mu}, L={big_l}")
 
 
+def _check_finite_positive(**values: float) -> None:
+    for name, v in values.items():
+        _require(0.0 < v < math.inf, f"need 0 < {name} < inf, got {name} = {v}")
+
+
 # Relative slack used when validating a caller-supplied alpha against the
 # regime maximum, so that alpha computed as exactly the maximum upstream
 # round-trips through floats.
@@ -384,9 +389,7 @@ def ode_params_sc(
     gamma is then theta + alpha beta / (2 + omega) and the energy decays at
     rate (1 + omega) / (2 + omega) * alpha.
     """
-    _require(mu > 0, f"need mu > 0, got {mu}")
-    _require(alpha > 0, f"need alpha > 0, got {alpha}")
-    _require(beta > 0, f"need beta > 0, got {beta}")
+    _check_finite_positive(mu=mu, alpha=alpha, beta=beta)
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     lower = (
         (1.0 + omega) / (2.0 + omega) ** 2
@@ -417,9 +420,7 @@ def ode_params_qg(
     theta_opt: Optional[float] = None,
 ) -> OdeParams:
     """Flow bundle under quadratic growth (convex f)."""
-    _require(mu > 0, f"need mu > 0, got {mu}")
-    _require(alpha > 0, f"need alpha > 0, got {alpha}")
-    _require(beta > 0, f"need beta > 0, got {beta}")
+    _check_finite_positive(mu=mu, alpha=alpha, beta=beta)
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     r = math.sqrt(1.0 + omega)
     lower = (
@@ -448,8 +449,7 @@ def ode_params_pl(mu: float, beta: float, theta: float = 1.0) -> OdeParams:
     kinetic plus theta times the gap (no anchor), and the certified decay
     rate is 2 mu beta with prefactor exactly 1.
     """
-    _require(mu > 0, f"need mu > 0, got {mu}")
-    _require(beta > 0, f"need beta > 0, got {beta}")
+    _check_finite_positive(mu=mu, beta=beta)
     _require(theta > 0, f"need theta > 0, got {theta}")
     alpha = mu * beta
     gamma = theta + alpha * beta

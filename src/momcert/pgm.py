@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import DivergenceError
-from .discrete import DISCRETE_COLUMNS, certify_step, run_discrete
+from .discrete import run_discrete
 from .oracle import CompositeObjective, grad_mapping
 from .params import PgmParams
 from .trace import Trace
@@ -36,16 +36,9 @@ __all__ = [
     "pgm_init",
     "pgm_step",
     "pgm_energy",
-    "pgm_certify_step",
     "pgm_run",
     "prox_descent_check",
-    "PGM_COLUMNS",
 ]
-
-# Same schema as the smooth solver; here f_gap_x tracks F(x_k) - F*,
-# f_gap_y tracks F(x_{k+1}) - F* (the quantity the bound controls), and
-# grad_norm holds ||G_s(y_k)||.
-PGM_COLUMNS = DISCRETE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -128,9 +121,6 @@ def _energy(state: PgmState, f_curr: float, params: PgmParams,
     return PgmEnergyTerms(phi=phi, E=e)
 
 
-pgm_certify_step = certify_step
-
-
 def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray):
     """Rows (state, F(x_k), F(x_{k+1}), ||G_s(y_k)||) for run_discrete.
 
@@ -156,7 +146,9 @@ def pgm_run(
 ) -> Trace:
     """Run for `iters` steps; same trace layout as the smooth solver.
 
-    The certified bound F(x_{k+1}) - F* <= prefactor * gap_0 / (1 + rho)^k
+    Here f_gap_x tracks F(x_k) - F*, f_gap_y tracks F(x_{k+1}) - F*, and
+    grad_norm holds ||G_s(y_k)||. The certified bound
+    F(x_{k+1}) - F* <= prefactor * gap_0 / (1 + rho)^k
     applies from k = 1 on; row 0 carries the k = 0 evaluation of the same
     expression, which holds trivially since x_1 = x_0. The blow-up rule
     and final_gap use f_gap_y; without ground truth both gap columns are

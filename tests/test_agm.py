@@ -12,7 +12,6 @@ import pytest
 
 from momcert import (
     DivergenceError,
-    agm_certify_step,
     agm_energy,
     agm_init,
     agm_params_nesterov,
@@ -21,6 +20,7 @@ from momcert import (
     agm_params_sc,
     agm_run,
     agm_step,
+    certify_step,
     nesterov_reference_step,
     pl_sine_problem,
     quadratic_problem,
@@ -137,9 +137,9 @@ class TestCertify:
     def test_boundary_cases(self):
         p = agm_params_sc(1.0, 100.0, 1.0, 0.0)
         exact = 1.0 / (1.0 + p.A * p.h)
-        assert agm_certify_step(1.0, exact, p).passed
-        assert agm_certify_step(1.0, exact * (1.0 + 1e-10), p).passed  # within slack
-        bad = agm_certify_step(1.0, exact * 1.02, p)
+        assert certify_step(1.0, exact, p).passed
+        assert certify_step(1.0, exact * (1.0 + 1e-10), p).passed  # within slack
+        bad = certify_step(1.0, exact * 1.02, p)
         assert not bad.passed
         assert bad.slack < 0
         assert bad.lhs == pytest.approx((1.0 + p.A * p.h) * exact * 1.02, rel=1e-15)
@@ -273,7 +273,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
             break
         if certified:
             e_next = agm_energy(st, obj, p, xstar, fstar).E
-            results.append(agm_certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
+            results.append(certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
             rows[-1][5] = results[-1].slack
             e_now = e_next
     data = np.array(rows, dtype=float)

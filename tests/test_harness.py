@@ -1,5 +1,6 @@
 """Harness: config handling, rate fitting, file output, CLI exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from momcert import (
     ConfigError,
     ExperimentConfig,
     Trace,
+    certify_trace,
     fit_linear_rate,
     main,
     rate_table,
@@ -67,10 +69,6 @@ class TestFitLinearRate:
         gaps = 7.0 * 1.1 ** (-k)
         gaps[200:] = 1e-16 * np.abs(np.sin(k[200:]))  # noise floor
         assert fit_linear_rate(_gap_trace(gaps)) == pytest.approx(0.1, rel=1e-9)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            fit_linear_rate(_gap_trace(np.ones(30)), window=0.0)
 
 
 class TestTraceIo:
@@ -132,6 +130,12 @@ class TestConfig:
         dict(horizon=0.0),
         dict(dt=-0.1),
         dict(lam=-2.0, problem="lasso"),
+        dict(seed=-1),
+        dict(dt=math.nan),
+        dict(lam=math.nan, problem="lasso"),
+        dict(gamma=math.inf),
+        dict(x0=-math.inf, problem="pl_sine"),
+        dict(gamma=None),               # only derived defaults may be None
     ])
     def test_rejections(self, bad):
         with pytest.raises(ConfigError):
@@ -255,7 +259,7 @@ class TestRunExperiment:
 
 
 class TestOfflineVerdict:
-    """A discrete run's CSV and JSON alone reproduce every step verdict."""
+    """A run's CSV and JSON alone reproduce every certificate verdict."""
 
     @pytest.mark.parametrize("problem,scale", [
         ("quadratic", 1.0), ("quadratic", 3.0), ("lasso", 1.0), ("lasso", 3.0),
@@ -280,6 +284,48 @@ class TestOfflineVerdict:
         assert s["certificates_checked"] == len(slack)
         assert s["certificates_failed"] == len(failed)
         assert (len(failed) > 0) == (scale > 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["clean", "failing", "aborted"])
+    @pytest.mark.parametrize("solver", ["agm", "pgm", "ode"])
+    def test_certify_trace_reproduces_the_run(self, tmp_path, solver, case):
+        config = ExperimentConfig(problem="lasso" if solver == "pgm" else "quadratic",
+                                  d=8, q=0.01, seed=2, omega=1.0, solver=solver)
+        obj, x0 = build_problem(config)
+        p = build_params(config, obj)
+        if solver == "ode":
+            # a tripled decay rate fails checks; dt = 1 leaves RK4's stability region
+            p = replace(p, decay_rate=3.0 * p.decay_rate) if case == "failing" else p
+            tr = momcert.ode_run(obj, p, x0, 400.0 if case == "aborted" else 6.0,
+                                 dt=1.0 if case == "aborted" else None)
+        else:
+            # a tripled A fails checks; agm diverges at gamma = 50, pgm at h = 1
+            tamper = {"clean": {}, "failing": {"A": 3.0 * p.A},
+                      "aborted": {"gamma": 50.0} if solver == "agm" else {"h": 1.0}}
+            run = momcert.agm_run if solver == "agm" else momcert.pgm_run
+            tr = run(obj, replace(p, **tamper[case]), x0, 300)
+        s = tr.summary
+        assert (s["aborted_at"] is not None) == (case == "aborted")
+        assert (s["certificates_failed"] > 0) == (case == "failing" or solver != "ode"
+                                                  and case == "aborted")
+
+        tr.write_csv(tmp_path / "run.csv")
+        tr.write_json(tmp_path / "run.json")
+        header = (tmp_path / "run.csv").read_text().split("\n", 1)[0].split(",")
+        data = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1, ndmin=2)
+        data[:, header.index("certificate_slack")] = np.nan
+        loaded = json.loads((tmp_path / "run.json").read_text())
+        back = certify_trace(Trace(kind=loaded["solver"], columns=tuple(header),
+                                   data=data, summary=loaded))
+
+        assert (back.column("certificate_slack").tobytes()
+                == tr.column("certificate_slack").tobytes())
+        for key in ("certificates_checked", "certificates_failed",
+                    "min_certificate_slack", "certificate_tol_abs",
+                    "certificate_tol_rel"):
+            np.testing.assert_equal(back.summary.get(key), s.get(key))
+        np.testing.assert_equal([dataclasses.astuple(c) for c in back.certificates],
+                                [dataclasses.astuple(c) for c in tr.certificates])
 
 
 class TestRateTable:
@@ -346,6 +392,22 @@ class TestCli:
         assert "configuration error" in err and "residual" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--d", "4", "--seed", "-1"],
+        ["ode", "--problem", "pl_sine", "--regime", "pl", "--dt", "nan"],
+        ["solve", "--problem", "lasso", "--d", "4", "--lam", "nan"],
+        ["sweep", "--d", "4", "--gamma", ","],
+    ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid"])
+    def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unparsable_grid_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--d", "4", "--gamma", "1,two", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(momcert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
@@ -402,6 +464,9 @@ class TestCli:
         assert "run aborted at index 0" in out
         s = json.loads((tmp_path / "pl_sine_ode_pl_w0_s0.json").read_text())
         assert s["aborted_at"] == 0 and s["certificates_checked"] == 0
+        # the run stops at that sample and keeps it as its only row
+        csv = (tmp_path / "pl_sine_ode_pl_w0_s0.csv").read_text().splitlines()
+        assert s["rows"] == 1 and len(csv) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solve_with_overflowing_objective_aborts(self, tmp_path, capsys):

@@ -17,10 +17,10 @@ from momcert import (
     Regime,
     SmoothObjective,
     Trace,
+    certify_trace,
     default_dt,
     flow_vector_field,
     ode_certify,
-    ode_certify_arrays,
     ode_energy,
     ode_params_pl,
     ode_params_qg,
@@ -353,13 +353,14 @@ class TestRunEquivalence:
         eps[120] *= 1.0 + 1e-9
         tr = _synthetic_trace(eps, rate, dt)
         certs = ode_certify(tr, rate)
-        k, lhs, rhs, slack = ode_certify_arrays(tr.column("t"), eps, rate, tr.summary)
-        assert [c.k for c in certs] == k.tolist()
-        assert [c.lhs for c in certs] == lhs.tolist()
-        assert [c.rhs for c in certs] == rhs.tolist()
-        assert [c.slack for c in certs] == slack.tolist()
-        assert [c.passed for c in certs] == (slack >= 0.0).tolist()
-        assert not all(c.passed for c in certs)
+        tr.summary.update(decay_rate=rate, certified=True, aborted_at=None)
+        certify_trace(tr)
+        failed = [c for c in certs if not c.passed]
+        assert failed and tr.certificates == failed
+        assert tr.summary["certificates_checked"] == len(certs)
+        assert tr.summary["min_certificate_slack"] == min(c.slack for c in certs)
+        assert tr.column("certificate_slack")[1:].tobytes() == \
+            np.array([c.slack for c in certs[:-1]]).tobytes()
 
     def test_run_keeps_only_failed_certificates(self):
         obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=6)

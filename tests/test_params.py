@@ -234,6 +234,22 @@ class TestOde:
         assert p.prefactor == 1.0
         assert p.xi == 0.0 and p.eta == 0.0 and p.omega == 0.0
 
+    @pytest.mark.parametrize("v", [math.inf, math.nan])
+    @pytest.mark.parametrize("make", [
+        lambda v: ode_params_sc(v, 2.0, 0.5, 0.0),
+        lambda v: ode_params_sc(1.0, v, 0.5, 0.0),
+        lambda v: ode_params_sc(1.0, 2.0, v, 0.0),
+        lambda v: ode_params_qg(v, 1.2, 0.3, 1.0),
+        lambda v: ode_params_qg(1.0, v, 0.3, 1.0),
+        lambda v: ode_params_qg(1.0, 1.2, v, 1.0),
+        lambda v: ode_params_pl(v, 0.25),
+        lambda v: ode_params_pl(2.0, v),
+    ], ids=["sc-mu", "sc-alpha", "sc-beta", "qg-mu", "qg-alpha", "qg-beta",
+            "pl-mu", "pl-beta"])
+    def test_non_finite_inputs_are_rejected(self, make, v):
+        with pytest.raises(ValueError, match="< inf"):
+            make(v)
+
 
 FACTORIES = [
     lambda: agm_params_sc(1.0, 100.0, 1.0, 0.0),
@@ -326,3 +342,9 @@ class TestAudit:
         p = agm_params_pl(1.0, 100.0)
         bad = check_constraints(replace(p, L=math.inf), p.regime)
         assert len(bad) == 1 and bad[0].startswith("inputs: need 0 < mu < L < inf")
+
+    def test_infinite_flow_mu_is_a_rejected_input(self):
+        # at mu = inf the sc theta floor is 0, which the relations let pass
+        p = ode_params_sc(1.0, 2.0, 0.5, 0.0)
+        bad = check_constraints(replace(p, mu=math.inf), Regime.STRONGLY_CONVEX)
+        assert len(bad) == 1 and bad[0].startswith("inputs: need 0 < mu < inf")

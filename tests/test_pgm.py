@@ -16,11 +16,11 @@ from momcert import (
     ExperimentConfig,
     agm_params_sc,
     agm_step,
+    certify_step,
     composite_from_smooth,
     grad_mapping,
     lasso_problem,
     nesterov_reference_step,
-    pgm_certify_step,
     pgm_energy,
     pgm_init,
     pgm_params_qg,
@@ -119,8 +119,8 @@ class TestCertify:
     def test_boundary(self):
         p = pgm_params_sc(1.0, 100.0, 0.5)
         exact = 1.0 / (1.0 + p.A * p.h)
-        assert pgm_certify_step(1.0, exact, p).passed
-        assert not pgm_certify_step(1.0, exact * 1.05, p).passed
+        assert certify_step(1.0, exact, p).passed
+        assert not certify_step(1.0, exact * 1.05, p).passed
 
 
 class TestRun:
@@ -271,7 +271,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
             break
         if certified:
             e_next = pgm_energy(st, obj, p, xstar, fstar).E
-            results.append(pgm_certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
+            results.append(certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
             rows[-1][5] = results[-1].slack
             e_now = e_next
     data = np.array(rows, dtype=float)
