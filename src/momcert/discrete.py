@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .certificates import DivergenceError, certify_trace
-from .trace import Trace
+from .trace import Trace, check_rows
 
 __all__ = ["DISCRETE_COLUMNS", "run_discrete"]
 
@@ -56,7 +56,8 @@ def run_discrete(
     extra    solver-specific summary entries
 
     A row with a non-finite objective value ends the run at that row, as
-    does, on a certified run, a gap above 1e6 max(1, gap_0).
+    does, on a certified run, a gap above 1e6 max(1, gap_0). More than
+    MAX_ROWS rows raise RowLimitError before anything is allocated.
 
     The summary records A and h, and certify_trace then checks the
     energy column: row k's certificate_slack is the slack of the step
@@ -64,6 +65,7 @@ def run_discrete(
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    check_rows(iters + 1)
     t_start = time.perf_counter()
     xstar, fstar = obj.minimizer, obj.min_value
     certified = bool(certify and xstar is not None and fstar is not None)

@@ -47,7 +47,7 @@ from .params import (
     pgm_params_qg,
     pgm_params_sc,
 )
-from .trace import Trace
+from .trace import RowLimitError, Trace
 
 __all__ = [
     "ConfigError",
@@ -656,7 +656,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, RowLimitError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

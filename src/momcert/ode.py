@@ -10,6 +10,11 @@ integrated here,
 which never evaluates a Hessian. Initial conditions are x(0) = x0 and
 z(0) = 0, i.e. the velocity starts at -beta grad f(x0).
 
+RK4 evaluates k_x = z + (-beta) g, k_z = (-alpha) z + (alpha beta - gamma) g
+at g = grad f(x), stages w + (dt/2) k and w + dt k, and the step
+w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) for w = x, z: on a pair of Python
+floats when d = 1, on a pair of 1-d arrays otherwise.
+
 The certified energy is
 
     eps = ||z + xi (x - x*)||^2 / 2 - eta ||x - x*||^2 / 2 + theta (f - f*),
@@ -22,6 +27,7 @@ its O(dt^4) error through a stiffness-scaled per-step tolerance.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +37,7 @@ import numpy as np
 from .certificates import DivergenceError, certify_trace
 from .oracle import SmoothObjective
 from .params import OdeParams
-from .trace import Trace
+from .trace import Trace, check_rows
 
 __all__ = [
     "OdeState",
@@ -60,43 +66,46 @@ class OdeEnergy:
     f_gap: float
 
 
-# The integrators below work on the stacked state w = [x; z] of shape
-# (2, d), whose field is k = a z + b grad f(x) with the coefficient
-# columns a = [1, -alpha] and b = [-beta, alpha beta - gamma]. Each row
-# rounds exactly as the componentwise formulas in the module docstring,
-# so traces stay bit-identical to an x/z loop; keep the operation order.
+# One kernel for both state types, so that there is one operation order:
+# written with plain * and + in the module docstring's order, the same
+# lines round identically on Python floats and on arrays, and a d = 1 run
+# on floats (NumPy's per-call overhead on one-element arrays would cost
+# several times the arithmetic) is bit-identical to the array loop.
 
 
-def _coefficients(params: OdeParams) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([[1.0], [-params.alpha]])
-    b = np.array([[-params.beta], [params.alpha * params.beta - params.gamma]])
-    return a, b
+def _coefficients(params: OdeParams) -> tuple[float, float, float]:
+    return -params.beta, -params.alpha, params.alpha * params.beta - params.gamma
 
 
-def _field(w: np.ndarray, grad, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a * w[1] + b * grad(w[0])
+def _field(x, z, grad, c):
+    g = grad(x)
+    return z + c[0] * g, c[1] * z + c[2] * g
 
 
-def _rk4(w: np.ndarray, dt: float, grad, a: np.ndarray, b: np.ndarray,
-         k: int) -> np.ndarray:
-    """Advance w by one RK4 step into sample k; raise if it goes non-finite."""
-    k1 = _field(w, grad, a, b)
-    k2 = _field(w + 0.5 * dt * k1, grad, a, b)
-    k3 = _field(w + 0.5 * dt * k2, grad, a, b)
-    k4 = _field(w + dt * k3, grad, a, b)
-    w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(w).all():
+def _all_finite(v) -> bool:
+    return bool(np.isfinite(v).all())
+
+
+def _rk4(x, z, dt: float, grad, c, finite, k: int):
+    """Advance (x, z) by one RK4 step into sample k; raise if it goes non-finite."""
+    k1x, k1z = _field(x, z, grad, c)
+    k2x, k2z = _field(x + 0.5 * dt * k1x, z + 0.5 * dt * k1z, grad, c)
+    k3x, k3z = _field(x + 0.5 * dt * k2x, z + 0.5 * dt * k2z, grad, c)
+    k4x, k4z = _field(x + dt * k3x, z + dt * k3z, grad, c)
+    x = x + dt / 6.0 * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
+    z = z + dt / 6.0 * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z)
+    if not (finite(x) and finite(z)):
         raise DivergenceError(k, f"state not finite at t = {k * dt:.6g}")
-    return w
+    return x, z
 
 
-def _energy(x, z, f, xstar, fstar, params: OdeParams) -> float:
+def _energy(x, z, f, xstar, fstar, params: OdeParams, dot) -> float:
     """eps at the state (x, z) given its objective value f."""
     dx = x - xstar
     phi = z + params.xi * dx
     return (
-        0.5 * float(phi.dot(phi))
-        - 0.5 * params.eta * float(dx.dot(dx))
+        0.5 * float(dot(phi, phi))
+        - 0.5 * params.eta * float(dot(dx, dx))
         + params.theta * float(f - fstar)
     )
 
@@ -105,9 +114,8 @@ def flow_vector_field(
     state: OdeState, obj: SmoothObjective, params: OdeParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dx, dz) of the first-order reformulation."""
-    k = _field(np.array((state.x, state.z), dtype=float), obj.grad,
-               *_coefficients(params))
-    return k[0], k[1]
+    return _field(np.asarray(state.x, dtype=float),
+                  np.asarray(state.z, dtype=float), obj.grad, _coefficients(params))
 
 
 def rk4_step(
@@ -120,10 +128,10 @@ def rk4_step(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    w = np.array((state.x, state.z), dtype=float)
-    k = round(state.t / dt) + 1
-    w = _rk4(w, dt, obj.grad, *_coefficients(params), k)
-    return OdeState(t=state.t + dt, x=w[0], z=w[1])
+    x, z = _rk4(np.asarray(state.x, dtype=float), np.asarray(state.z, dtype=float),
+                dt, obj.grad, _coefficients(params), _all_finite,
+                round(state.t / dt) + 1)
+    return OdeState(t=state.t + dt, x=x, z=z)
 
 
 def ode_energy(
@@ -134,7 +142,7 @@ def ode_energy(
     fstar: float,
 ) -> OdeEnergy:
     f = obj.eval(state.x)
-    return OdeEnergy(eps=_energy(state.x, state.z, f, xstar, fstar, params),
+    return OdeEnergy(eps=_energy(state.x, state.z, f, xstar, fstar, params, np.dot),
                      f_gap=float(f - fstar))
 
 
@@ -157,14 +165,15 @@ def ode_run(
     Columns: t, f_gap, energy, envelope, certificate_slack. The envelope
     column is the certified gap bound prefactor * gap_0 * exp(-rate t).
     The requested dt (or the stiffness default) is shrunk to divide the
-    horizon exactly. When `certify` is set and ground truth is available
-    certify_trace checks the energy decay; row j's slack certifies the
-    step into sample j (row 0 holds NaN) and trace.certificates keeps only
-    the failed checks. Otherwise energy and envelope are NaN and f_gap is
-    measured against the best value seen. The run ends, with aborted_at
-    set to the sample's index, at the first sampled objective value that
-    is not finite (kept as the last row) or at a step that leaves the
-    state non-finite; an aborted run is not certified.
+    horizon exactly; more than MAX_ROWS samples raise RowLimitError. When
+    `certify` is set and ground truth is available certify_trace checks
+    the energy decay; row j's slack certifies the step into sample j (row
+    0 holds NaN) and trace.certificates keeps only the failed checks.
+    Otherwise energy and envelope are NaN and f_gap is measured against
+    the best value seen. The run ends, with aborted_at set to the sample's
+    index, at the first sampled objective value that is not finite (kept
+    as the last row) or at a step that leaves the state non-finite; an
+    aborted run is not certified.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
@@ -176,6 +185,7 @@ def ode_run(
         dt = default_dt(obj, params)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    check_rows(horizon / dt + 1)
     n = max(1, math.ceil(horizon / dt - 1e-12))
     dt = horizon / n
 
@@ -185,20 +195,26 @@ def ode_run(
     data = np.full((n + 1, len(ODE_COLUMNS)), np.nan)
     aborted_at: Optional[int] = None
 
-    grad, feval = obj.grad, obj.eval
-    a, b = _coefficients(params)
-    w = np.zeros((2, x0.size))
-    w[0] = x0
+    if obj.dimension == 1:
+        grad = lambda u: float(obj.grad(np.array([u]))[0])
+        feval = lambda u: obj.eval(np.array([u]))
+        x, z, finite, dot = float(x0[0]), 0.0, math.isfinite, operator.mul
+        if certified:
+            xstar = float(xstar[0])
+    else:
+        grad, feval = obj.grad, obj.eval
+        x, z, finite, dot = x0, np.zeros(x0.size), _all_finite, np.dot
+    c = _coefficients(params)
     rate = params.decay_rate
 
     for j in range(n + 1):
         t = j * dt
-        f = feval(w[0])
+        f = feval(x)
         data[j, 0], data[j, 1] = t, f
         if certified:
             if j == 0:
                 scale = params.prefactor * (f - fstar)
-            data[j, 2] = _energy(w[0], w[1], f, xstar, fstar, params)
+            data[j, 2] = _energy(x, z, f, xstar, fstar, params, dot)
             data[j, 3] = scale * math.exp(-rate * t)
         rows = j + 1
         if not math.isfinite(f):
@@ -207,7 +223,7 @@ def ode_run(
         if j == n:
             break
         try:
-            w = _rk4(w, dt, grad, a, b, j + 1)
+            x, z = _rk4(x, z, dt, grad, c, finite, j + 1)
         except DivergenceError as err:
             aborted_at = err.k
             break

@@ -367,8 +367,10 @@ def pgm_params_qg(
 
 def _theta_or_floor(theta_opt: Optional[float], lower: float, omega: float,
                     floor: str) -> float:
-    """theta defaults to max(lower, omega/2); a caller's theta must clear both."""
+    """theta defaults to max(lower, omega/2); a caller's theta must be
+    finite and clear both."""
     theta = max(lower, omega / 2.0) if theta_opt is None else float(theta_opt)
+    _require(theta < math.inf, f"need theta < inf, got theta = {theta}")
     _require(theta >= lower * (1.0 - 1e-12),
              f"need theta >= {floor} = {lower:.12g}, got theta = {theta}")
     _require(theta >= omega / 2.0 - 1e-15, f"need theta >= omega/2 = {omega/2}, got {theta}")
@@ -449,8 +451,7 @@ def ode_params_pl(mu: float, beta: float, theta: float = 1.0) -> OdeParams:
     kinetic plus theta times the gap (no anchor), and the certified decay
     rate is 2 mu beta with prefactor exactly 1.
     """
-    _check_finite_positive(mu=mu, beta=beta)
-    _require(theta > 0, f"need theta > 0, got {theta}")
+    _check_finite_positive(mu=mu, beta=beta, theta=theta)
     alpha = mu * beta
     gamma = theta + alpha * beta
     return OdeParams(

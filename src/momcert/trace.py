@@ -15,7 +15,22 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Trace"]
+__all__ = ["MAX_ROWS", "RowLimitError", "Trace", "check_rows"]
+
+# The drivers allocate the whole trace before the first step, and 10**8
+# rows of five to seven float64 columns already take 4 to 5.6 GB.
+MAX_ROWS = 10**8
+
+
+class RowLimitError(ValueError):
+    """A run asked for a trace of more than MAX_ROWS rows."""
+
+
+def check_rows(rows: float) -> None:
+    """Refuse a trace of `rows` rows before anything is allocated."""
+    if not rows <= MAX_ROWS:
+        raise RowLimitError(
+            f"a trace of {rows:.6g} rows exceeds the limit of {MAX_ROWS:.0e} rows")
 
 
 @dataclass

@@ -397,7 +397,11 @@ class TestCli:
         ["ode", "--problem", "pl_sine", "--regime", "pl", "--dt", "nan"],
         ["solve", "--problem", "lasso", "--d", "4", "--lam", "nan"],
         ["sweep", "--d", "4", "--gamma", ","],
-    ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid"])
+        # refused by the row limit before the trace is allocated
+        ["solve", "--d", "4", "--iters", "1000000000000000"],
+        ["ode", "--d", "4", "--horizon", "1e15", "--dt", "1e-3"],
+    ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
+            "huge-horizon"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err

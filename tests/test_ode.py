@@ -328,22 +328,51 @@ class TestCertify:
 class TestRunEquivalence:
     """ode_run's inlined loop against the public per-step functions."""
 
-    def test_columns_match_public_step_and_energy_bitwise(self):
-        obj = quadratic_problem(np.geomspace(1.0, 30.0, 3), np.ones(3), seed=5)
-        p = ode_params_sc(1.0, alpha=2.0, beta=0.2, omega=1.0)
-        x0 = obj.minimizer + np.array([1.5, -0.5, 2.0])
-        tr = ode_run(obj, p, x0, horizon=2.0, dt=0.01)
-        dt = tr.summary["dt"]
-        st = OdeState(0.0, x0, np.zeros(3))
-        gaps, eps = [], []
+    @staticmethod
+    def _case(name):
+        """(objective, bundle, x0, dt): a 3-d flow and d = 1 flows on floats."""
+        if name == "quadratic-3d":
+            obj = quadratic_problem(np.geomspace(1.0, 30.0, 3), np.ones(3), seed=5)
+            p = ode_params_sc(1.0, alpha=2.0, beta=0.2, omega=1.0)
+            return obj, p, obj.minimizer + np.array([1.5, -0.5, 2.0]), 0.01
+        if name == "quadratic-1d":
+            obj = quadratic_problem([4.0], [1.0])
+            return obj, ode_params_sc(4.0, alpha=4.0, beta=0.5, omega=0.0), \
+                np.array([3.0]), 0.01
+        obj = pl_sine_problem()
+        p = ode_params_pl(obj.pl_constant, beta=1.0 / math.sqrt(obj.lipschitz))
+        if name == "pl_sine-uncertified":
+            obj = replace(obj, minimizer=None, min_value=None)
+        return obj, p, np.array([2.0]), 0.01
+
+    @pytest.mark.parametrize("name", ["quadratic-3d", "quadratic-1d", "pl_sine",
+                                      "pl_sine-uncertified"])
+    def test_columns_match_public_step_and_energy_bitwise(self, name):
+        obj, p, x0, dt = self._case(name)
+        tr = ode_run(obj, p, x0, horizon=2.0, dt=dt)
+        assert tr.summary["dt"] == dt and tr.n_rows == 201
+        st = OdeState(0.0, x0, np.zeros(x0.size))
+        fs, gaps, eps = [], [], []
         for j in range(tr.n_rows):
             if j:
                 st = rk4_step(st, dt, obj, p)
-            en = ode_energy(st, obj, p, obj.minimizer, obj.min_value)
-            gaps.append(en.f_gap)
-            eps.append(en.eps)
+            if obj.minimizer is None:
+                fs.append(obj.eval(st.x))
+            else:
+                en = ode_energy(st, obj, p, obj.minimizer, obj.min_value)
+                gaps.append(en.f_gap)
+                eps.append(en.eps)
+        t = np.arange(tr.n_rows) * dt
+        assert tr.column("t").tobytes() == t.tobytes()
+        if obj.minimizer is None:
+            assert not tr.summary["certified"]
+            gaps = np.array(fs) - min(fs)
+            assert tr.column("f_gap").tobytes() == gaps.tobytes()
+            return
+        envelope = [p.prefactor * gaps[0] * math.exp(-p.decay_rate * u) for u in t]
         assert tr.column("f_gap").tobytes() == np.array(gaps).tobytes()
         assert tr.column("energy").tobytes() == np.array(eps).tobytes()
+        assert tr.column("envelope").tobytes() == np.array(envelope).tobytes()
 
     def test_array_certification_matches_the_list(self):
         rate, dt = 1.0, 0.01

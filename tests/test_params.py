@@ -244,8 +244,11 @@ class TestOde:
         lambda v: ode_params_qg(1.0, 1.2, v, 1.0),
         lambda v: ode_params_pl(v, 0.25),
         lambda v: ode_params_pl(2.0, v),
+        lambda v: ode_params_sc(1.0, 2.0, 0.5, 0.0, theta_opt=v),
+        lambda v: ode_params_qg(1.0, 1.2, 0.3, 1.0, theta_opt=v),
+        lambda v: ode_params_pl(1.0, 0.25, v),
     ], ids=["sc-mu", "sc-alpha", "sc-beta", "qg-mu", "qg-alpha", "qg-beta",
-            "pl-mu", "pl-beta"])
+            "pl-mu", "pl-beta", "sc-theta", "qg-theta", "pl-theta"])
     def test_non_finite_inputs_are_rejected(self, make, v):
         with pytest.raises(ValueError, match="< inf"):
             make(v)
@@ -348,3 +351,15 @@ class TestAudit:
         p = ode_params_sc(1.0, 2.0, 0.5, 0.0)
         bad = check_constraints(replace(p, mu=math.inf), Regime.STRONGLY_CONVEX)
         assert len(bad) == 1 and bad[0].startswith("inputs: need 0 < mu < inf")
+
+    @pytest.mark.parametrize("make", [
+        lambda: ode_params_sc(1.0, 2.0, 0.5, 0.0),
+        lambda: ode_params_pl(1.0, 0.25),
+    ], ids=["sc", "pl"])
+    def test_infinite_flow_theta_is_a_rejected_input(self, make):
+        # gamma = theta + ... is then inf too, and the theta identity
+        # compares inf with inf
+        p = make()
+        bad = check_constraints(replace(p, theta=math.inf, gamma=math.inf), p.regime)
+        assert len(bad) == 1 and bad[0].startswith("inputs: need")
+        assert "theta < inf" in bad[0]
