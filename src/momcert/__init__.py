@@ -22,7 +22,7 @@ from .certificates import (
     certify_trace,
     ode_certify,
 )
-from .discrete import DISCRETE_COLUMNS
+from .driver import DISCRETE_COLUMNS
 from .harness import (
     ConfigError,
     ExperimentConfig,

@@ -30,12 +30,13 @@ and that inequality is what the runtime certificates check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import DivergenceError
-from .discrete import run_discrete
+from .driver import run_discrete
 from .oracle import SmoothObjective
 from .params import AgmParams
 from .trace import Trace
@@ -148,17 +149,20 @@ def _energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     return EnergyTerms(phi=phi, sigma=sigma, psi=psi, E=e)
 
 
-def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray):
-    """Rows (state, f(x_k), f(y_{k+1}), ||grad f(x_k)||) for run_discrete.
+def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray, certified: bool):
+    """Rows (f(x_k), f(y_{k+1}), ||grad f(x_k)||, E_k) for run_discrete.
 
     Per step: the gradient agm_step takes at x_{k+1}, and f at x_{k+1} and
     at the lookahead point y_{k+2}; f(x_k) also serves the energy.
     """
     hh = params.h * params.h
+    xstar, fstar = obj.minimizer, obj.min_value
     state = agm_init(obj, params, x0)
     while True:
-        yield (state, obj.eval(state.x), obj.eval(state.x - hh * state.grad_x),
-               float(np.linalg.norm(state.grad_x)))
+        fx = obj.eval(state.x)
+        yield (fx, obj.eval(state.x - hh * state.grad_x),
+               float(np.linalg.norm(state.grad_x)),
+               _energy(state, fx, params, xstar, fstar).E if certified else math.nan)
         state = agm_step(state, obj, params)
 
 
@@ -183,9 +187,8 @@ def agm_run(
     f_gap_x is measured against the best f(x_k) seen, f_gap_y against the
     best of both columns, and the summary is flagged uncertified.
     """
-    return run_discrete("agm", obj, params, x0, iters, certify, _rows, _energy,
-                        gap=0, best_of=((0,), (0, 1)),
-                        extra={"gamma": params.gamma})
+    return run_discrete("agm", obj, params, x0, iters, certify, _rows, gap=0,
+                        best_of=((0,), (0, 1)), extra={"gamma": params.gamma})
 
 
 def nesterov_reference_step(

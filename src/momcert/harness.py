@@ -18,7 +18,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -47,7 +48,8 @@ from .params import (
     pgm_params_qg,
     pgm_params_sc,
 )
-from .trace import RowLimitError, Trace
+from .driver import RowLimitError
+from .trace import Trace
 
 __all__ = [
     "ConfigError",
@@ -152,10 +154,14 @@ _FLOAT_KEYS = {
 
 
 def load_config_file(path: Union[str, Path]) -> dict:
-    """Parse a flat `key = value` file; '#' starts a comment."""
+    """Parse a flat `key = value` UTF-8 file; '#' starts a comment."""
     values: dict = {}
     known = {f.name for f in fields(ExperimentConfig)}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -197,34 +203,33 @@ def build_problem(
     rng_problem = np.random.default_rng([config.seed, 0])
     rng_start = np.random.default_rng([config.seed, 1])
 
-    if config.problem == "quadratic":
-        mu = config.q * config.L
-        spectrum = np.geomspace(mu, config.L, config.d)
-        b = rng_problem.standard_normal(config.d)
-        try:
-            obj = quadratic_problem(spectrum, b, seed=config.seed)
-        except ArithmeticError as err:
-            raise ConfigError(
-                f"quadratic instance with q = {config.q:g}, d = {config.d} "
-                f"cannot be built: {err}"
-            ) from None
-        x0 = obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
-        return obj, x0
-
     if config.problem == "pl_sine":
-        obj = pl_sine_problem()
-        return obj, np.array([config.x0])
+        return pl_sine_problem(), np.array([config.x0])
 
     mu = config.q * config.L
-    sv = np.sqrt(np.geomspace(mu, config.L, config.d))
-    u = _random_orthogonal(config.d, rng_problem)
-    v = _random_orthogonal(config.d, rng_problem)
-    a = u @ (sv[:, None] * v.T)
-    b = 3.0 * rng_problem.standard_normal(config.d)
-    lam = config.lam
-    if lam is None:
-        lam = 0.3 * float(np.max(np.abs(a.T @ b)))
-    obj = lasso_problem(a, b, lam)
+    if config.problem == "quadratic":
+        spectrum = np.geomspace(mu, config.L, config.d)
+        b = rng_problem.standard_normal(config.d)
+        make = partial(quadratic_problem, spectrum, b, seed=config.seed)
+    else:
+        sv = np.sqrt(np.geomspace(mu, config.L, config.d))
+        u = _random_orthogonal(config.d, rng_problem)
+        v = _random_orthogonal(config.d, rng_problem)
+        a = u @ (sv[:, None] * v.T)
+        b = 3.0 * rng_problem.standard_normal(config.d)
+        lam = config.lam
+        if lam is None:
+            lam = 0.3 * float(np.max(np.abs(a.T @ b)))
+        make = partial(lasso_problem, a, b, lam)
+    try:
+        obj = make()
+    except (ArithmeticError, ValueError, RuntimeError) as err:
+        # a failed residual check, a rank-deficient A, or a reference
+        # minimizer that does not converge
+        raise ConfigError(
+            f"{config.problem} instance with q = {config.q:g}, d = {config.d} "
+            f"cannot be built: {err}"
+        ) from None
     x0 = obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
     return obj, x0
 
@@ -302,6 +307,13 @@ def build_params(config: ExperimentConfig, obj) -> Union[
 # rate fitting
 
 
+def _certified_columns(trace: Trace) -> tuple[str, str, str]:
+    """Index column, certified gap column and certified-rate summary key."""
+    if trace.kind == "ode":
+        return "t", "f_gap", "decay_rate"
+    return "k", "f_gap_y", "rho_theory"
+
+
 def fit_linear_rate(trace: Trace) -> Optional[float]:
     """Empirical rate from a least-squares fit of log(gap) on the tail.
 
@@ -315,12 +327,8 @@ def fit_linear_rate(trace: Trace) -> Optional[float]:
     gap ~ (1 + rho_emp)^-k; for flow traces it is the continuous decay
     rate, gap ~ exp(-rate t).
     """
-    if trace.kind == "ode":
-        xs = trace.column("t")
-        gaps = trace.column("f_gap")
-    else:
-        xs = trace.column("k")
-        gaps = trace.column("f_gap_y")
+    index, gap, _ = _certified_columns(trace)
+    xs, gaps = trace.column(index), trace.column(gap)
     n = len(gaps)
     if n == 0 or not np.isfinite(gaps[0]) or gaps[0] <= 0:
         return None
@@ -333,7 +341,7 @@ def fit_linear_rate(trace: Trace) -> Optional[float]:
     if keep.sum() < 20:
         return None
     slope = np.polyfit(x[keep], np.log(g[keep]), 1)[0]
-    if trace.kind == "ode":
+    if index == "t":
         return float(-slope)
     return float(math.expm1(-slope))
 
@@ -436,8 +444,8 @@ def rate_table(
     for c in configs:
         trace = run_experiment(c, write=write_traces)
         s = trace.summary
-        gaps = trace.column("f_gap_y" if trace.kind != "ode" else "f_gap")
-        idx = trace.column("k" if trace.kind != "ode" else "t")
+        index, gap, rate = _certified_columns(trace)
+        gaps, idx = trace.column(gap), trace.column(index)
         tol_hit = ""
         if np.isfinite(gaps[0]) and gaps[0] > 0:
             hit = np.nonzero(gaps <= 1e-9 * gaps[0])[0]
@@ -447,7 +455,7 @@ def rate_table(
             "regime": s["regime"],
             "gamma": s.get("gamma", float("nan")),
             "omega": s["omega"],
-            "rho_theory": s["rho_theory"] if trace.kind != "ode" else s["decay_rate"],
+            "rho_theory": s[rate],
             "rho_emp": s["fitted_rate"],
             "iters_to_1e-9": tol_hit,
             "certificates_passed": s["certificates_checked"] - s["certificates_failed"],
@@ -550,7 +558,7 @@ def _report(trace: Trace, quiet: bool) -> None:
     if quiet:
         return
     s = trace.summary
-    rate_key = "decay_rate" if trace.kind == "ode" else "rho_theory"
+    rate_key = _certified_columns(trace)[2]
     fitted = s.get("fitted_rate")
     print(
         f"{s['solver']} on {s.get('problem', '?')} [{s['regime']}]: "

@@ -26,18 +26,19 @@ its O(dt^4) error through a stiffness-scaled per-step tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .certificates import DivergenceError, certify_trace
+from .certificates import DivergenceError
+from .driver import run_trace
 from .oracle import SmoothObjective
 from .params import OdeParams
-from .trace import Trace, check_rows
+from .trace import Trace
 
 __all__ = [
     "OdeState",
@@ -152,49 +153,16 @@ def default_dt(obj: SmoothObjective, params: OdeParams) -> float:
     return 0.1 / lam
 
 
-def ode_run(
-    obj: SmoothObjective,
-    params: OdeParams,
-    x0: np.ndarray,
-    horizon: float,
-    dt: Optional[float] = None,
-    certify: bool = True,
-) -> Trace:
-    """Integrate over [0, horizon] and return the sampled trace.
+def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
+             certified: bool, summary: dict):
+    """Rows (f, eps) at t = k dt, k = 0, 1, ..., for run_trace.
 
-    Columns: t, f_gap, energy, envelope, certificate_slack. The envelope
-    column is the certified gap bound prefactor * gap_0 * exp(-rate t).
-    The requested dt (or the stiffness default) is shrunk to divide the
-    horizon exactly; more than MAX_ROWS samples raise RowLimitError. When
-    `certify` is set and ground truth is available certify_trace checks
-    the energy decay; row j's slack certifies the step into sample j (row
-    0 holds NaN) and trace.certificates keeps only the failed checks.
-    Otherwise energy and envelope are NaN and f_gap is measured against
-    the best value seen. The run ends, with aborted_at set to the sample's
-    index, at the first sampled objective value that is not finite (kept
-    as the last row) or at a step that leaves the state non-finite; an
-    aborted run is not certified.
+    One f evaluation per sample, which also serves eps. The first sample
+    records eps0 and f_scale = |f_0| + |f*| (the scale of the certificates'
+    noise floor) in `summary`; a step that leaves the state non-finite
+    raises DivergenceError with the index of the sample it was to produce.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (obj.dimension,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({obj.dimension},)")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    t_start = time.perf_counter()
-    if dt is None:
-        dt = default_dt(obj, params)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    check_rows(horizon / dt + 1)
-    n = max(1, math.ceil(horizon / dt - 1e-12))
-    dt = horizon / n
-
     xstar, fstar = obj.minimizer, obj.min_value
-    certified = bool(certify and xstar is not None and fstar is not None)
-
-    data = np.full((n + 1, len(ODE_COLUMNS)), np.nan)
-    aborted_at: Optional[int] = None
-
     if obj.dimension == 1:
         grad = lambda u: float(obj.grad(np.array([u]))[0])
         feval = lambda u: obj.eval(np.array([u]))
@@ -205,56 +173,66 @@ def ode_run(
         grad, feval = obj.grad, obj.eval
         x, z, finite, dot = x0, np.zeros(x0.size), _all_finite, np.dot
     c = _coefficients(params)
-    rate = params.decay_rate
-
-    for j in range(n + 1):
-        t = j * dt
+    for k in itertools.count(1):
         f = feval(x)
-        data[j, 0], data[j, 1] = t, f
-        if certified:
-            if j == 0:
-                scale = params.prefactor * (f - fstar)
-            data[j, 2] = _energy(x, z, f, xstar, fstar, params, dot)
-            data[j, 3] = scale * math.exp(-rate * t)
-        rows = j + 1
-        if not math.isfinite(f):
-            aborted_at = j
-            break
-        if j == n:
-            break
-        try:
-            x, z = _rk4(x, z, dt, grad, c, finite, j + 1)
-        except DivergenceError as err:
-            aborted_at = err.k
-            break
+        eps = _energy(x, z, f, xstar, fstar, params, dot) if certified else math.nan
+        if k == 1:
+            summary["eps0"] = eps
+            summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan
+        yield f, eps
+        x, z = _rk4(x, z, dt, grad, c, finite, k)
 
-    data = data[:rows]
-    f0 = float(data[0, 1])
-    data[:, 1] -= (fstar if certified else np.nanmin(data[:, 1]))
 
-    summary = {
-        "solver": "ode",
-        "regime": params.regime.value,
-        "alpha": params.alpha,
+def ode_run(
+    obj: SmoothObjective,
+    params: OdeParams,
+    x0: np.ndarray,
+    horizon: float,
+    dt: Optional[float] = None,
+    certify: bool = True,
+) -> Trace:
+    """Integrate over [0, horizon] and return the sampled trace.
+
+    Columns: t, f_gap, energy, envelope, certificate_slack; the envelope
+    is the certified gap bound prefactor * gap_0 * exp(-rate t). The
+    requested dt (or the stiffness default) is shrunk to divide the
+    horizon exactly; more than MAX_ROWS samples raise RowLimitError. Row
+    j's slack certifies the step into sample j (row 0 holds NaN); when
+    not certified, energy and envelope are NaN and f_gap is measured
+    against the best value seen. The run ends at the first sampled
+    objective value that is not finite (kept as the last row) or at a
+    step that leaves the state non-finite, with aborted_at set to the
+    sample's index; an aborted run is not certified.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (obj.dimension,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({obj.dimension},)")
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if dt is None:
+        dt = default_dt(obj, params)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    steps = horizon / dt
+    # an unbounded step count is left for the row limit to refuse
+    n = max(1, math.ceil(steps - 1e-12)) if math.isfinite(steps) else steps
+    dt = horizon / n
+    rate = params.decay_rate
+    own = {
         "beta": params.beta,
         "gamma": params.gamma,
         "theta": params.theta,
-        "omega": params.omega,
-        "mu": params.mu,
         "L": obj.lipschitz,
         "decay_rate": rate,
         "prefactor": params.prefactor,
         "horizon": horizon,
         "dt": dt,
-        "rows": int(rows),
-        "certified": certified,
-        "eps0": float(data[0, 2]) if certified else np.nan,
-        "f_scale": float(abs(f0) + abs(fstar)) if certified else np.nan,
-        "initial_gap": float(data[0, 1]),
-        "final_gap": float(data[-1, 1]),
-        "aborted_at": aborted_at,
     }
-    trace = certify_trace(Trace(kind="ode", columns=ODE_COLUMNS, data=data,
-                                summary=summary))
-    summary["wall_time_s"] = time.perf_counter() - t_start
-    return trace
+    return run_trace(
+        "ode", obj, params, certify,
+        lambda certified: _samples(obj, params, x0, dt, certified, own), n + 1,
+        columns=ODE_COLUMNS, step=dt, gap=0, best_of=((0,),), blowup=math.inf,
+        bound_column="envelope",
+        bound=lambda gap0, k: params.prefactor * gap0 * math.exp(-rate * (k * dt)),
+        head=own,
+    )

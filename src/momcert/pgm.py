@@ -19,13 +19,14 @@ for omega > 0 is slightly below A h; certificates use A, bounds use rho.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .certificates import DivergenceError
-from .discrete import run_discrete
+from .driver import run_discrete
 from .oracle import CompositeObjective, grad_mapping
 from .params import PgmParams
 from .trace import Trace
@@ -121,18 +122,21 @@ def _energy(state: PgmState, f_curr: float, params: PgmParams,
     return PgmEnergyTerms(phi=phi, E=e)
 
 
-def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray):
-    """Rows (state, F(x_k), F(x_{k+1}), ||G_s(y_k)||) for run_discrete.
+def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray,
+          certified: bool):
+    """Rows (F(x_k), F(x_{k+1}), ||G_s(y_k)||, E_k) for run_discrete.
 
     Per step: one gradient mapping (one grad, one prox), which the next
     row's grad_norm reuses, and one F at the new iterate, which serves the
     energy, then f_gap_y, then the next row's f_gap_x.
     """
+    xstar, fstar = obj.minimizer, obj.min_value
     state = pgm_init(obj, params, x0)
     f_prev = f_curr = obj.total(state.x_curr)
     g = grad_mapping(obj, state.y, params.h * params.h)
     while True:
-        yield state, f_prev, f_curr, float(np.linalg.norm(g))
+        yield (f_prev, f_curr, float(np.linalg.norm(g)),
+               _energy(state, f_curr, params, xstar, fstar).E if certified else math.nan)
         state, g = _step(state, obj, params)
         f_prev, f_curr = f_curr, obj.total(state.x_curr)
 
@@ -154,8 +158,8 @@ def pgm_run(
     and final_gap use f_gap_y; without ground truth both gap columns are
     measured against the best F seen.
     """
-    return run_discrete("pgm", obj, params, x0, iters, certify, _rows, _energy,
-                        gap=1, best_of=((0, 1), (0, 1)), extra={})
+    return run_discrete("pgm", obj, params, x0, iters, certify, _rows, gap=1,
+                        best_of=((0, 1), (0, 1)), extra={})
 
 
 def prox_descent_check(

@@ -1,10 +1,10 @@
 """Run traces: fixed-schema numeric tables plus a JSON-able summary.
 
-A Trace is what every run driver returns. Columns are solver specific
-(documented on the drivers); rows are one record per iteration or time
-sample. CSV output is byte-deterministic for a given trace: floats are
-rendered with %.17g so values round-trip exactly and two runs of the same
-seeded configuration produce identical files.
+A Trace is what the run driver returns. Columns are solver specific
+(documented on the entry points); rows are one record per iteration or
+time sample. CSV output is byte-deterministic for a given trace: floats
+are rendered with %.17g so values round-trip exactly and two runs of the
+same seeded configuration produce identical files.
 """
 
 from __future__ import annotations
@@ -15,22 +15,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["MAX_ROWS", "RowLimitError", "Trace", "check_rows"]
-
-# The drivers allocate the whole trace before the first step, and 10**8
-# rows of five to seven float64 columns already take 4 to 5.6 GB.
-MAX_ROWS = 10**8
-
-
-class RowLimitError(ValueError):
-    """A run asked for a trace of more than MAX_ROWS rows."""
-
-
-def check_rows(rows: float) -> None:
-    """Refuse a trace of `rows` rows before anything is allocated."""
-    if not rows <= MAX_ROWS:
-        raise RowLimitError(
-            f"a trace of {rows:.6g} rows exceeds the limit of {MAX_ROWS:.0e} rows")
+__all__ = ["Trace"]
 
 
 @dataclass

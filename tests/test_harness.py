@@ -219,6 +219,15 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_params(ExperimentConfig(problem="lasso", solver="ode"), lasso)
 
+    def test_lasso_reference_failure_is_a_config_error(self, monkeypatch):
+        # the reference minimizer can run out of iterations (seen at
+        # q = 1e-9, lam = 0 after minutes); stand in for it
+        def no_reference(*args):
+            raise RuntimeError("reference proximal gradient did not reach ||G|| <= 1e-12")
+        monkeypatch.setattr(momcert.harness, "lasso_problem", no_reference)
+        with pytest.raises(ConfigError, match="lasso instance .* cannot be built"):
+            build_problem(ExperimentConfig(problem="lasso", d=4))
+
     def test_flow_defaults(self):
         quad, _ = build_problem(ExperimentConfig(d=4, q=0.01, L=100.0))
         p = build_params(ExperimentConfig(d=4, q=0.01, L=100.0, solver="ode"), quad)
@@ -400,12 +409,25 @@ class TestCli:
         # refused by the row limit before the trace is allocated
         ["solve", "--d", "4", "--iters", "1000000000000000"],
         ["ode", "--d", "4", "--horizon", "1e15", "--dt", "1e-3"],
+        # horizon / dt overflows to an infinite step count
+        ["ode", "--d", "4", "--dt", "1e-320"],
+        # config files that cannot be read ({inputs} is a directory)
+        ["solve", "--config", "{inputs}/missing.cfg"],
+        ["solve", "--config", "{inputs}"],
+        ["solve", "--config", "{inputs}/latin1.cfg"],
+        # A's smallest singular value is 1e-14 of its largest
+        ["solve", "--problem", "lasso", "--q", "1e-30", "--d", "20"],
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
-            "huge-horizon"])
+            "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
+            "non-utf8-config", "rank-deficient-lasso"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path)]) == 2
+        inputs, out = tmp_path / "inputs", tmp_path / "out"
+        inputs.mkdir()
+        (inputs / "latin1.cfg").write_bytes("# d\xe9faut\nd = 4\n".encode("latin-1"))
+        argv = [arg.format(inputs=inputs) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
 
     def test_unparsable_grid_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
