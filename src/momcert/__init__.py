@@ -15,13 +15,7 @@ from .agm import (
     agm_step,
     nesterov_reference_step,
 )
-from .certificates import (
-    CertificateResult,
-    DivergenceError,
-    certify_step,
-    certify_trace,
-    ode_certify,
-)
+from .certificates import DivergenceError, certify_trace, failed_checks
 from .driver import DISCRETE_COLUMNS
 from .harness import (
     ConfigError,
@@ -86,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgmParams",
     "AgmState",
-    "CertificateResult",
     "CompositeObjective",
     "ConfigError",
     "DISCRETE_COLUMNS",
@@ -109,12 +102,12 @@ __all__ = [
     "agm_params_sc",
     "agm_run",
     "agm_step",
-    "certify_step",
     "certify_trace",
     "check_constraints",
     "composite_from_smooth",
     "default_dt",
     "estimate_pl_constant",
+    "failed_checks",
     "finite_diff_gradient_check",
     "fit_linear_rate",
     "grad_mapping",
@@ -122,7 +115,6 @@ __all__ = [
     "lasso_problem",
     "main",
     "nesterov_reference_step",
-    "ode_certify",
     "ode_energy",
     "ode_params_pl",
     "ode_params_qg",

@@ -1,47 +1,28 @@
 """Every certificate check, read from a trace's columns and summary.
 
-`certify_trace` is the one place a run's verdicts are made: the drivers
-build a `Trace` and hand it over, and a trace loaded back from its CSV
-and JSON re-certifies to the same slacks, counts and failures. Discrete
-runs (agm, pgm) check (1 + A h) E_{k+1} <= E_k per step; the flow checks
-the per-sample decay of eps and its global envelope.
+`certify_trace` is the one place a run's checks are made, and
+`failed_checks` the one place they are judged: the drivers build a
+`Trace` and hand it over, and a trace loaded back from its CSV and JSON
+re-certifies to the same slacks, counts and failures. Discrete runs
+(agm, pgm) check (1 + A h) E_{k+1} <= E_k per step; the flow checks the
+per-sample decay of eps and its global envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .trace import Trace
 
-__all__ = [
-    "CertificateResult", "DivergenceError", "certify_step", "certify_trace",
-    "ode_certify",
-]
+__all__ = ["DivergenceError", "certify_trace", "failed_checks"]
 
 # Discrete tolerance: TOL_REL |E_k| + TOL_ABS (1 + |E_0|).
 _TOL_REL = 1e-9
 _TOL_ABS = 1e-12
 # Flow: relative slack of the global envelope eps(t) <= eps(0) e^{-rate t}.
 _TOL_GLOB = 1e-6
-
-
-@dataclass(frozen=True)
-class CertificateResult:
-    """Outcome of one runtime inequality check.
-
-    The check asserts lhs <= rhs up to tolerance; slack = rhs - lhs, so a
-    healthy certificate has nonnegative slack and a failed one reports how
-    far the inequality was missed.
-    """
-
-    k: int
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
 
 
 class DivergenceError(RuntimeError):
@@ -52,52 +33,29 @@ class DivergenceError(RuntimeError):
         self.k = k
 
 
-def certify_step(
-    energy_now: float,
-    energy_next: float,
-    params,
-    tol_rel: float = _TOL_REL,
-    tol_abs: float = _TOL_ABS,
-    k: int = 0,
-) -> CertificateResult:
-    """Contraction certificate (1 + A h) E_{k+1} <= E_k between two energies.
-
-    The scalar reference for the check certify_trace makes over a whole
-    discrete trace, where tol_abs is scaled to 1e-12 (1 + |E_0|) so that
-    late steps, with both sides float noise around zero, do not fail.
-    """
-    lhs = (1.0 + params.A * params.h) * energy_next
-    rhs = energy_now
-    slack = rhs - lhs
-    passed = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
-    return CertificateResult(k=k, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
-
-
-def _discrete_checks(trace: Trace):
-    """(k, lhs, rhs, tol) of the step checks k -> k+1 of a discrete trace.
+def _discrete_slack(trace: Trace) -> np.ndarray:
+    """Slack E_k - (1 + A h) E_{k+1} of each step check k -> k+1.
 
     Needs the summary's certified, A and h; records both tolerances in it.
     """
     s = trace.summary
     e = trace.column("energy")
     m = len(e) - 1 if s["certified"] else 0
-    tol_abs = _TOL_ABS * (1.0 + abs(float(e[0])))
-    s["certificate_tol_abs"], s["certificate_tol_rel"] = tol_abs, _TOL_REL
-    rhs = e[:m]
-    lhs = (1.0 + s["A"] * s["h"]) * e[1:m + 1]
-    return np.arange(m), lhs, rhs, tol_abs + _TOL_REL * np.abs(rhs)
+    s["certificate_tol_abs"] = _TOL_ABS * (1.0 + abs(float(e[0])))
+    s["certificate_tol_rel"] = _TOL_REL
+    return e[:m] - (1.0 + s["A"] * s["h"]) * e[1:m + 1]
 
 
-def _flow_checks(trace: Trace, rate: float):
-    """(k, lhs, rhs) of a flow trace's checks; each passes when lhs <= rhs.
+def _flow_slack(trace: Trace, rate: float) -> tuple[np.ndarray, float]:
+    """Slack of each step check of a flow trace, and of its global check.
 
-    For n samples, entry j < n - 1 certifies the step into sample k = j + 1:
-    the rescaled energy eps(t) exp(rate t) must not grow, checked in the
-    overflow-safe form eps_{j+1} exp(rate dt) <= eps_j (1 + tol) + floor.
-    tol = (Lambda dt)^4, with Lambda = sqrt(L (1 + alpha beta)) the
-    stiffness scale, allows for the RK4 error; the floor is the resolution
-    of the energy measurement itself, a few ulps of the objective values
-    entering it (summary f_scale). Entry n - 1 (k = -1) is the global check
+    For n samples, entry j of the first array certifies the step into
+    sample j + 1: the rescaled energy eps(t) exp(rate t) must not grow,
+    checked in the overflow-safe form eps_{j+1} exp(rate dt) <= eps_j
+    (1 + tol) + floor. tol = (Lambda dt)^4, with Lambda = sqrt(L (1 +
+    alpha beta)) the stiffness scale, allows for the RK4 error; the floor
+    is the resolution of the energy measurement itself, a few ulps of the
+    objective values entering it (summary f_scale). The global check is
     eps(t) <= eps(0) exp(-rate t) (1 + 1e-6) at its worst sample. The
     summary supplies dt, L, alpha, beta and, optionally, f_scale.
     """
@@ -116,59 +74,57 @@ def _flow_checks(trace: Trace, rate: float):
     rhs = eps[:-1] * (1.0 + tol_step) + floor[:-1]
 
     bound = env * (1.0 + _TOL_GLOB) + 1e-18 * abs(eps0)
-    worst = int(np.argmin(bound - eps))
-    return (np.append(np.arange(1, len(eps)), -1), np.append(lhs, eps[worst]),
-            np.append(rhs, bound[worst]))
+    return rhs - lhs, float(np.min(bound - eps))
 
 
 def certify_trace(trace: Trace) -> Trace:
     """Make every certificate check of a trace from its columns and summary.
 
-    Fills the certificate_slack column (row k holds check k; the flow's
-    global check, k = -1, has no row), the summary's certificates_checked,
-    certificates_failed and min_certificate_slack (plus, on agm and pgm,
-    certificate_tol_abs and certificate_tol_rel), and trace.certificates
-    with the failed checks only. Discrete traces are checked when
-    certified, aborted or not; flow traces when certified and not aborted.
-    Returns the trace.
+    Fills the certificate_slack column (row k holds check k) and the
+    summary's certificates_checked, certificates_failed and
+    min_certificate_slack; on agm and pgm also certificate_tol_abs and
+    certificate_tol_rel, on the flow envelope_slack, the slack of its
+    global check, which has no row (NaN when unchecked). Discrete traces
+    are checked when certified, aborted or not; flow traces when
+    certified and not aborted. Returns the trace.
     """
     s = trace.summary
-    if trace.kind != "ode":
-        k, lhs, rhs, tol = _discrete_checks(trace)
-    elif s["certified"] and s["aborted_at"] is None:
-        k, lhs, rhs = _flow_checks(trace, s["decay_rate"])
-        tol = 0.0
-    else:
-        k, lhs, rhs, tol = np.empty(0, dtype=int), np.empty(0), np.empty(0), 0.0
-    slack = rhs - lhs
-    passed = slack >= -tol
-    failed = np.flatnonzero(~passed)
     col = trace.column("certificate_slack")
     col[:] = np.nan
-    col[k[k >= 0]] = slack[k >= 0]
-    s["certificates_checked"] = len(k)
-    s["certificates_failed"] = len(failed)
+    if trace.kind != "ode":
+        slack = _discrete_slack(trace)
+        col[:len(slack)] = slack
+    elif s["certified"] and s["aborted_at"] is None:
+        col[1:], s["envelope_slack"] = _flow_slack(trace, s["decay_rate"])
+        slack = np.append(col[1:], s["envelope_slack"])
+    else:
+        slack, s["envelope_slack"] = np.empty(0), np.nan
+    s["certificates_checked"] = len(slack)
     s["min_certificate_slack"] = min(slack.tolist(), default=np.nan)
-    trace.certificates = _results(k, lhs, rhs, slack, passed, failed)
+    s["certificates_failed"] = len(failed_checks(trace)[0])
     return trace
 
 
-def ode_certify(trace: Trace, rate: float) -> list[CertificateResult]:
-    """Every check of a certified flow trace at the given decay rate.
+def failed_checks(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Index k and slack of every failed check of a trace certify_trace filled.
 
-    The checks are certify_trace's (see _flow_checks), returned in full,
-    passed or not; the global check comes last with k = -1. Raises
-    ValueError when the energy column is not finite.
+    Reads only the certificate_slack and energy columns and the summary
+    (certificates_checked and the tolerances or envelope_slack). Discrete
+    check k (the step k -> k+1) passed when slack >= -(certificate_tol_abs
+    + certificate_tol_rel |energy[k]|); flow check k (the step into sample
+    k) when slack >= 0, and so the global envelope check, which comes last
+    as k = -1. A NaN slack fails. The failures are in check order.
     """
-    k, lhs, rhs = _flow_checks(trace, rate)
-    slack = rhs - lhs
-    return _results(k, lhs, rhs, slack, slack >= 0.0, range(len(k)))
-
-
-def _results(k, lhs, rhs, slack, passed, rows) -> list[CertificateResult]:
-    """CertificateResults for the given rows of array-valued checks."""
-    return [
-        CertificateResult(k=int(k[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
-                          slack=float(slack[i]), passed=bool(passed[i]))
-        for i in rows
-    ]
+    s = trace.summary
+    n = s["certificates_checked"]
+    col = trace.column("certificate_slack")
+    if trace.kind != "ode":
+        k, slack = np.arange(n), col[:n]
+        tol = s["certificate_tol_abs"] + s["certificate_tol_rel"] * np.abs(
+            trace.column("energy")[:n])
+    else:
+        k, slack, tol = np.arange(1, n), col[1:n], 0.0
+        if n:
+            k, slack = np.append(k, -1), np.append(slack, s["envelope_slack"])
+    failed = ~(slack >= -tol)
+    return k[failed], slack[failed]

@@ -48,6 +48,7 @@ from .params import (
     pgm_params_qg,
     pgm_params_sc,
 )
+from .certificates import failed_checks
 from .driver import RowLimitError
 from .trace import Trace
 
@@ -461,7 +462,8 @@ def rate_table(
             "certificates_passed": s["certificates_checked"] - s["certificates_failed"],
             "certificates_checked": s["certificates_checked"],
         })
-    rows.sort(key=lambda r: (r["regime"], r["gamma"], r["omega"]))
+    # pgm has no gamma: its NaN compares false both ways, so rank it as 0
+    rows.sort(key=lambda r: (r["regime"], np.nan_to_num(r["gamma"]), r["omega"]))
     return rows
 
 
@@ -591,15 +593,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         print("certification unavailable: no ground-truth minimizer", file=sys.stderr)
         return 2
     _report(trace, config.quiet)
-    failures = trace.certificates  # only the failed checks are kept
+    k, slack = failed_checks(trace)
     if not config.quiet:
-        for c in failures[:10]:
-            print(f"FAILED k={c.k}: lhs={c.lhs:.12g} > rhs={c.rhs:.12g} "
-                  f"(slack {c.slack:.3e})")
-        if len(failures) > 10:
-            print(f"... and {len(failures) - 10} more failures")
-        verdict = "all certificates passed" if not failures else \
-            f"{len(failures)} certificate(s) FAILED"
+        for i, z in zip(k[:10].tolist(), slack[:10].tolist()):
+            print(f"FAILED k={i}: slack {z:.3e}")
+        if len(k) > 10:
+            print(f"... and {len(k) - 10} more failures")
+        verdict = "all certificates passed" if not len(k) else \
+            f"{len(k)} certificate(s) FAILED"
         print(verdict)
     return exit_code_for(trace)
 
@@ -610,7 +611,12 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     omegas = [base.omega] if args.omegas is None else args.omegas
     if not gammas or not omegas:
         raise ConfigError("a --gamma or --omega grid needs at least one value")
-    return [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
+    configs = [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
+    names = [_default_basename(c) for c in configs]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"the grid runs {max(names, key=names.count)} twice: a value "
+                          f"repeats, or the {base.resolved_solver()} run ignores it")
+    return configs
 
 
 def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:

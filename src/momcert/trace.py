@@ -24,7 +24,6 @@ class Trace:
     columns: tuple[str, ...]
     data: np.ndarray               # shape (n_rows, len(columns))
     summary: dict[str, Any] = field(default_factory=dict)
-    certificates: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from momcert import (
+    DISCRETE_COLUMNS,
     DivergenceError,
+    Trace,
     agm_energy,
     agm_init,
     agm_params_nesterov,
@@ -20,7 +22,8 @@ from momcert import (
     agm_params_sc,
     agm_run,
     agm_step,
-    certify_step,
+    certify_trace,
+    failed_checks,
     nesterov_reference_step,
     pl_sine_problem,
     quadratic_problem,
@@ -133,16 +136,34 @@ class TestEnergy:
             st = agm_step(st, obj, p)
 
 
+def _one_step_trace(p, e_next):
+    """A certified two-row agm trace with energies 1 and e_next."""
+    data = np.full((2, len(DISCRETE_COLUMNS)), np.nan)
+    data[:, DISCRETE_COLUMNS.index("energy")] = 1.0, e_next
+    summary = {"certified": True, "A": p.A, "h": p.h}
+    return certify_trace(Trace("agm", DISCRETE_COLUMNS, data, summary))
+
+
 class TestCertify:
     def test_boundary_cases(self):
         p = agm_params_sc(1.0, 100.0, 1.0, 0.0)
         exact = 1.0 / (1.0 + p.A * p.h)
-        assert certify_step(1.0, exact, p).passed
-        assert certify_step(1.0, exact * (1.0 + 1e-10), p).passed  # within slack
-        bad = certify_step(1.0, exact * 1.02, p)
-        assert not bad.passed
-        assert bad.slack < 0
-        assert bad.lhs == pytest.approx((1.0 + p.A * p.h) * exact * 1.02, rel=1e-15)
+        for e_next in (exact, exact * (1.0 + 1e-10)):  # the second within slack
+            tr = _one_step_trace(p, e_next)
+            assert tr.summary["certificates_checked"] == 1
+            assert tr.summary["certificates_failed"] == 0
+        bad = _one_step_trace(p, exact * 1.02)
+        k, slack = failed_checks(bad)
+        assert k.tolist() == [0] and bad.summary["certificates_failed"] == 1
+        assert slack[0] == bad.column("certificate_slack")[0] < 0
+        assert slack[0] == pytest.approx(1.0 - (1.0 + p.A * p.h) * exact * 1.02,
+                                         rel=1e-13)
+
+    def test_nan_slack_fails(self):
+        tr = _one_step_trace(agm_params_sc(1.0, 100.0, 1.0, 0.0), np.nan)
+        k, slack = failed_checks(tr)
+        assert k.tolist() == [0] and np.isnan(slack[0])
+        assert tr.summary["certificates_failed"] == 1
 
 
 class TestRun:
@@ -244,8 +265,8 @@ class TestNesterovEquivalence:
 def _loop_run(obj, p, x0, iters, certify=True):
     """agm_run written as a loop over the public per-step functions.
 
-    Returns (data, every certificate result, aborted_at); the driver must
-    reproduce data bit for bit and keep exactly the failed results.
+    Returns (data, (k, slack, passed) of every check, aborted_at); the
+    driver must reproduce data bit for bit and fail exactly these checks.
     """
     xstar, fstar = obj.minimizer, obj.min_value
     certified = certify and xstar is not None and fstar is not None
@@ -273,8 +294,9 @@ def _loop_run(obj, p, x0, iters, certify=True):
             break
         if certified:
             e_next = agm_energy(st, obj, p, xstar, fstar).E
-            results.append(certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
-            rows[-1][5] = results[-1].slack
+            slack = e_now - (1.0 + p.A * p.h) * e_next  # (1 + A h) E_{k+1} <= E_k
+            results.append((k, slack, slack >= -(tol_abs + 1e-9 * abs(e_now))))
+            rows[-1][5] = slack
             e_now = e_next
     data = np.array(rows, dtype=float)
     if not certified:
@@ -315,8 +337,8 @@ class TestRunEquivalence:
         tr = agm_run(obj, p, x0, iters, certify=certify)
         data, results, aborted = _loop_run(obj, p, x0, iters, certify)
         assert tr.data.tobytes() == data.tobytes()
-        failed = [c for c in results if not c.passed]
-        assert tr.certificates == failed
+        failed = [(k, slack) for k, slack, passed in results if not passed]
+        assert list(zip(*(a.tolist() for a in failed_checks(tr)))) == failed
         s = tr.summary
         assert s["aborted_at"] == aborted
         assert s["certificates_checked"] == len(results)

@@ -1,6 +1,5 @@
 """Harness: config handling, rate fitting, file output, CLI exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -18,6 +17,7 @@ from momcert import (
     ExperimentConfig,
     Trace,
     certify_trace,
+    failed_checks,
     fit_linear_rate,
     main,
     rate_table,
@@ -289,7 +289,7 @@ class TestOfflineVerdict:
         tol = s["certificate_tol_abs"] + s["certificate_tol_rel"] * np.abs(energy)
         failed = np.flatnonzero(~(slack >= -tol))
         assert s["certificate_tol_abs"] == 1e-12 * (1.0 + abs(table["energy"][0]))
-        assert failed.tolist() == [c.k for c in tr.certificates]
+        assert failed.tolist() == failed_checks(tr)[0].tolist()
         assert s["certificates_checked"] == len(slack)
         assert s["certificates_failed"] == len(failed)
         assert (len(failed) > 0) == (scale > 1.0)
@@ -331,10 +331,9 @@ class TestOfflineVerdict:
                 == tr.column("certificate_slack").tobytes())
         for key in ("certificates_checked", "certificates_failed",
                     "min_certificate_slack", "certificate_tol_abs",
-                    "certificate_tol_rel"):
+                    "certificate_tol_rel", "envelope_slack"):
             np.testing.assert_equal(back.summary.get(key), s.get(key))
-        np.testing.assert_equal([dataclasses.astuple(c) for c in back.certificates],
-                                [dataclasses.astuple(c) for c in tr.certificates])
+        np.testing.assert_equal(failed_checks(back), failed_checks(tr))
 
 
 class TestRateTable:
@@ -355,6 +354,14 @@ class TestRateTable:
         out = tmp_path / "rates.csv"
         rate_table_csv(rows, out)
         assert out.read_text().count("\n") == 3
+
+    def test_rows_without_gamma_sort_by_omega(self):
+        # pgm has no gamma; its NaN cell must not stop the sort on omega
+        base = dict(problem="lasso", d=8, iters=200, seed=2)
+        rows = rate_table([ExperimentConfig(omega=w, **base) for w in (1.0, 0.0, 0.5)])
+        assert [r["omega"] for r in rows] == [0.0, 0.5, 1.0]
+        assert all(math.isnan(r["gamma"]) for r in rows)
+        assert rate_table_text(rows).splitlines()[1].split()[1] == "nan"
 
     def test_rejects_mixed_instances(self):
         with pytest.raises(ConfigError):
@@ -378,6 +385,43 @@ class TestCli:
                    "--out", str(tmp_path), "--seed", "2"])
         assert rc == 0
         assert "all certificates passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,key,envelope_listed", [
+        (["--problem", "quadratic", "--d", "8", "--seed", "2", "--omega", "1",
+          "-k", "300"], "A", False),
+        (["--solver", "ode", "--problem", "quadratic", "--d", "8", "--seed", "2",
+          "--omega", "1", "-T", "2"], "decay_rate", False),
+        # ten failures, the global envelope check the last of them
+        (["--solver", "ode", "--problem", "pl_sine", "--regime", "pl", "--x0", "-3",
+          "-T", "0.5"], "decay_rate", True),
+    ], ids=["agm", "ode", "ode-envelope"])
+    def test_failing_certify_lists_its_failures(self, tmp_path, capsys, monkeypatch,
+                                                argv, key, envelope_listed):
+        # claim three times the certified rate so that checks fail
+        build = momcert.harness.build_params
+        monkeypatch.setattr(momcert.harness, "build_params", lambda config, obj: replace(
+            p := build(config, obj), **{key: 3.0 * getattr(p, key)}))
+        rc = main(["certify", *argv, "--out", str(tmp_path), "--csv", "run.csv",
+                   "--json", "run.json"])
+        assert rc == 1
+        table = np.genfromtxt(tmp_path / "run.csv", delimiter=",", names=True)
+        s = json.loads((tmp_path / "run.json").read_text())
+        # the failures by the rules in the README, from the two files alone
+        n, slack = s["certificates_checked"], table["certificate_slack"]
+        if key == "A":
+            tol = s["certificate_tol_abs"] + s["certificate_tol_rel"] * np.abs(
+                table["energy"][:n])
+            failed = [(k, slack[k]) for k in np.flatnonzero(~(slack[:n] >= -tol))]
+        else:
+            failed = [(k, slack[k]) for k in range(1, n) if not slack[k] >= 0]
+            failed += [(-1, s["envelope_slack"])] if s["envelope_slack"] < 0 else []
+        assert len(failed) == s["certificates_failed"] >= 10
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line for line in lines if line.startswith("FAILED k=")]
+        assert listed == [f"FAILED k={k}: slack {z:.3e}" for k, z in failed[:10]]
+        more = [f"... and {len(failed) - 10} more failures"] if len(failed) > 10 else []
+        assert lines[-len(more) - 1:] == more + [f"{len(failed)} certificate(s) FAILED"]
+        assert ("FAILED k=-1: " in listed[-1]) == envelope_listed
 
     def test_ode_subcommand(self, tmp_path, capsys):
         rc = main(["ode", "--problem", "quadratic", "--d", "3", "--q", "0.1",
@@ -417,9 +461,15 @@ class TestCli:
         ["solve", "--config", "{inputs}/latin1.cfg"],
         # A's smallest singular value is 1e-14 of its largest
         ["solve", "--problem", "lasso", "--q", "1e-30", "--d", "20"],
+        # grid points that collapse to one run: pgm has no gamma, and the
+        # pl bundle neither gamma nor omega
+        ["sweep", "--problem", "lasso", "--d", "6", "-k", "100", "--gamma", "1,2",
+         "--omega", "1,0"],
+        ["rates", "--regime", "pl", "--gamma", "1,2", "--d", "4", "--q", "0.1"],
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
-            "non-utf8-config", "rank-deficient-lasso"])
+            "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
+            "pl-gamma-grid"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         inputs, out = tmp_path / "inputs", tmp_path / "out"
         inputs.mkdir()

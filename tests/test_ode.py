@@ -13,14 +13,15 @@ import pytest
 from scipy.linalg import expm
 
 from momcert import (
+    ODE_COLUMNS,
     OdeState,
     Regime,
     SmoothObjective,
     Trace,
     certify_trace,
     default_dt,
+    failed_checks,
     flow_vector_field,
-    ode_certify,
     ode_energy,
     ode_params_pl,
     ode_params_qg,
@@ -265,48 +266,48 @@ class TestRun:
             ode_run(obj, p, np.zeros(2), horizon=1.0, dt=-0.1)
 
 
-def _synthetic_trace(eps, rate, dt, big_l=4.0, alpha=1.0, beta=0.5):
+def _certified(eps, rate, dt, big_l=4.0, alpha=1.0, beta=0.5):
+    """certify_trace on a flow trace with energy column eps at decay `rate`."""
     n = len(eps)
-    t = np.arange(n) * dt
-    data = np.full((n, len(("t", "f_gap", "energy", "envelope", "certificate_slack"))),
-                   np.nan)
-    data[:, 0] = t
+    data = np.full((n, len(ODE_COLUMNS)), np.nan)
+    data[:, 0] = np.arange(n) * dt
     data[:, 2] = eps
-    return Trace(
-        kind="ode",
-        columns=("t", "f_gap", "energy", "envelope", "certificate_slack"),
-        data=data,
-        summary={"dt": dt, "L": big_l, "alpha": alpha, "beta": beta},
-    )
+    return certify_trace(Trace(
+        kind="ode", columns=ODE_COLUMNS, data=data,
+        summary={"dt": dt, "L": big_l, "alpha": alpha, "beta": beta,
+                 "decay_rate": rate, "certified": True, "aborted_at": None},
+    ))
 
 
 class TestCertify:
     def test_exact_decay_passes(self):
         rate, dt = 1.0, 0.01
         t = np.arange(200) * dt
-        tr = _synthetic_trace(3.0 * np.exp(-rate * t), rate, dt)
-        certs = ode_certify(tr, rate)
-        assert all(c.passed for c in certs)
-        assert certs[-1].k == -1
+        tr = _certified(3.0 * np.exp(-rate * t), rate, dt)
+        s = tr.summary
+        # 199 step checks into samples 1 .. 199, then the global one
+        assert s["certificates_checked"] == 200 and s["certificates_failed"] == 0
+        col = tr.column("certificate_slack")
+        assert s["envelope_slack"] >= 0 and np.all(col[1:] >= 0) and np.isnan(col[0])
 
     def test_single_bump_is_caught(self):
         rate, dt = 1.0, 0.01
         t = np.arange(200) * dt
         eps = 3.0 * np.exp(-rate * t)
         eps[50] *= 1.01
-        certs = ode_certify(tr := _synthetic_trace(eps, rate, dt), rate)
-        failed = [c for c in certs if not c.passed]
+        tr = _certified(eps, rate, dt)
+        k, slack = failed_checks(tr)
         # the jump into sample 50 fails; the global envelope fails with it
-        assert any(c.k == 50 for c in failed)
-        assert not certs[-1].passed
+        assert 50 in k.tolist()
+        assert k[-1] == -1 and slack[-1] == tr.summary["envelope_slack"] < 0
         assert tr.column("t")[50] == pytest.approx(0.5)
 
     def test_decay_slower_than_claimed_fails_globally(self):
         rate, dt = 1.0, 0.01
         t = np.arange(400) * dt
-        tr = _synthetic_trace(3.0 * np.exp(-0.8 * rate * t), rate, dt)
-        certs = ode_certify(tr, rate)
-        assert not certs[-1].passed
+        tr = _certified(3.0 * np.exp(-0.8 * rate * t), rate, dt)
+        assert tr.summary["envelope_slack"] < 0
+        assert failed_checks(tr)[0][-1] == -1
 
     def test_integrator_allowance_scales_with_dt(self):
         # a relative wobble below (Lambda dt)^4 must be tolerated
@@ -316,13 +317,13 @@ class TestCertify:
         t = np.arange(100) * dt
         eps = 3.0 * np.exp(-rate * t)
         eps[10] *= 1.0 + 0.5 * tol
-        certs = ode_certify(_synthetic_trace(eps, rate, dt), rate)
-        assert certs[9].k == 10 and certs[9].passed
+        tr = _certified(eps, rate, dt)
+        assert tr.column("certificate_slack")[10] >= 0
+        assert 10 not in failed_checks(tr)[0].tolist()
 
     def test_refuses_uncertified_trace(self):
-        tr = _synthetic_trace(np.full(10, np.nan), 1.0, 0.01)
         with pytest.raises(ValueError):
-            ode_certify(tr, 1.0)
+            _certified(np.full(10, np.nan), 1.0, 0.01)
 
 
 class TestRunEquivalence:
@@ -380,16 +381,26 @@ class TestRunEquivalence:
         eps = 3.0 * np.exp(-rate * t)
         eps[50] *= 1.01
         eps[120] *= 1.0 + 1e-9
-        tr = _synthetic_trace(eps, rate, dt)
-        certs = ode_certify(tr, rate)
-        tr.summary.update(decay_rate=rate, certified=True, aborted_at=None)
-        certify_trace(tr)
-        failed = [c for c in certs if not c.passed]
-        assert failed and tr.certificates == failed
-        assert tr.summary["certificates_checked"] == len(certs)
-        assert tr.summary["min_certificate_slack"] == min(c.slack for c in certs)
-        assert tr.column("certificate_slack")[1:].tobytes() == \
-            np.array([c.slack for c in certs[:-1]]).tobytes()
+        tr = _certified(eps, rate, dt)
+        # the checks written out one sample at a time, on Python floats
+        tol = (math.sqrt(4.0 * (1.0 + 0.5)) * dt) ** 4
+        noise = 8.0 * np.finfo(float).eps * eps[0]
+        steps = [eps[j] * (1.0 + tol) + 1e-14 * eps[0] * math.exp(-rate * t[j]) + noise
+                 - eps[j + 1] * math.exp(rate * dt) for j in range(199)]
+        envelope = min(eps[0] * math.exp(-rate * u) * (1.0 + 1e-6) + 1e-18 * eps[0] - e
+                       for u, e in zip(t, eps))
+        np.testing.assert_allclose(tr.column("certificate_slack")[1:], steps,
+                                   rtol=0.0, atol=1e-14)
+        assert tr.summary["envelope_slack"] == pytest.approx(envelope, rel=1e-9)
+        failed = [j + 1 for j, z in enumerate(steps) if z < 0]
+        failed += [-1] if envelope < 0 else []
+        k, slack = failed_checks(tr)
+        assert k.tolist() == failed and 50 in failed and 120 not in failed
+        s = tr.summary
+        assert s["certificates_checked"] == 200
+        assert s["certificates_failed"] == len(failed)
+        assert s["min_certificate_slack"] == min(*tr.column("certificate_slack")[1:],
+                                                 s["envelope_slack"])
 
     def test_run_keeps_only_failed_certificates(self):
         obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=6)
@@ -397,12 +408,13 @@ class TestRunEquivalence:
         # claim three times the certified rate so that the checks fail
         p = replace(base, decay_rate=3.0 * base.decay_rate)
         tr = ode_run(obj, p, obj.minimizer + 1.0, horizon=6.0)
-        full = ode_certify(tr, p.decay_rate)
-        failed = [c for c in full if not c.passed]
-        s = tr.summary
-        assert failed and tr.certificates == failed
-        assert s["certificates_checked"] == len(full)
+        s, col = tr.summary, tr.column("certificate_slack")
+        # every check with negative slack is listed, in order, and no other
+        failed = [j for j in range(1, tr.n_rows) if col[j] < 0]
+        failed += [-1] if s["envelope_slack"] < 0 else []
+        k, slack = failed_checks(tr)
+        assert failed and k.tolist() == failed
+        assert slack.tolist() == [col[j] if j > 0 else s["envelope_slack"] for j in failed]
+        assert s["certificates_checked"] == tr.n_rows
         assert s["certificates_failed"] == len(failed)
-        assert s["min_certificate_slack"] == min(c.slack for c in full)
-        np.testing.assert_array_equal(tr.column("certificate_slack")[1:],
-                                      [c.slack for c in full[:-1]])
+        assert s["min_certificate_slack"] == min(*col[1:], s["envelope_slack"])

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from momcert import (
+    DISCRETE_COLUMNS,
     AgmState,
     DivergenceError,
     ExperimentConfig,
+    Trace,
     agm_params_sc,
     agm_step,
-    certify_step,
+    certify_trace,
     composite_from_smooth,
+    failed_checks,
     grad_mapping,
     lasso_problem,
     nesterov_reference_step,
@@ -119,8 +122,15 @@ class TestCertify:
     def test_boundary(self):
         p = pgm_params_sc(1.0, 100.0, 0.5)
         exact = 1.0 / (1.0 + p.A * p.h)
-        assert certify_step(1.0, exact, p).passed
-        assert not certify_step(1.0, exact * 1.05, p).passed
+        data = np.full((2, len(DISCRETE_COLUMNS)), np.nan)
+        failed = []
+        for e_next in (exact, exact * 1.05):
+            data[:, DISCRETE_COLUMNS.index("energy")] = 1.0, e_next
+            tr = certify_trace(Trace("pgm", DISCRETE_COLUMNS, data.copy(),
+                                     {"certified": True, "A": p.A, "h": p.h}))
+            assert tr.summary["certificates_checked"] == 1
+            failed.append(failed_checks(tr)[0].tolist())
+        assert failed == [[], [0]]
 
 
 class TestRun:
@@ -241,8 +251,8 @@ class TestProxDescent:
 def _loop_run(obj, p, x0, iters, certify=True):
     """pgm_run written as a loop over the public per-step functions.
 
-    Returns (data, every certificate result, aborted_at); the driver must
-    reproduce data bit for bit and keep exactly the failed results.
+    Returns (data, (k, slack, passed) of every check, aborted_at); the
+    driver must reproduce data bit for bit and fail exactly these checks.
     """
     xstar, fstar = obj.minimizer, obj.min_value
     certified = certify and xstar is not None and fstar is not None
@@ -271,8 +281,9 @@ def _loop_run(obj, p, x0, iters, certify=True):
             break
         if certified:
             e_next = pgm_energy(st, obj, p, xstar, fstar).E
-            results.append(certify_step(e_now, e_next, p, 1e-9, tol_abs, k=k))
-            rows[-1][5] = results[-1].slack
+            slack = e_now - (1.0 + p.A * p.h) * e_next  # (1 + A h) E_{k+1} <= E_k
+            results.append((k, slack, slack >= -(tol_abs + 1e-9 * abs(e_now))))
+            rows[-1][5] = slack
             e_now = e_next
     data = np.array(rows, dtype=float)
     if not certified:
@@ -314,8 +325,8 @@ class TestRunEquivalence:
         tr = pgm_run(obj, p, x0, iters, certify=certify)
         data, results, aborted = _loop_run(obj, p, x0, iters, certify)
         assert tr.data.tobytes() == data.tobytes()
-        failed = [c for c in results if not c.passed]
-        assert tr.certificates == failed
+        failed = [(k, slack) for k, slack, passed in results if not passed]
+        assert list(zip(*(a.tolist() for a in failed_checks(tr)))) == failed
         s = tr.summary
         assert s["aborted_at"] == aborted
         assert s["certificates_checked"] == len(results)
