@@ -26,6 +26,9 @@ The per-iterate energy
 
 contracts like (1 + A h) E_{k+1} <= E_k for admissible parameter bundles,
 and that inequality is what the runtime certificates check.
+
+`agm_init`, `agm_step` and `agm_energy(state, f(x_k), params, x*, f*)` are
+the per-step API, and `agm_run` drives these same functions.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .trace import Trace
 
 __all__ = [
     "AgmState",
-    "EnergyTerms",
     "agm_init",
     "agm_step",
     "agm_energy",
@@ -61,14 +63,6 @@ class AgmState:
     y: np.ndarray
     v: np.ndarray
     grad_x: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyTerms:
-    phi: np.ndarray
-    sigma: np.ndarray
-    psi: float
-    E: float
 
 
 def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmState:
@@ -117,36 +111,24 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
     return AgmState(k=state.k + 1, x=x_next, y=y_next, v=v_next, grad_x=g_next)
 
 
-def agm_energy(
-    state: AgmState,
-    obj: SmoothObjective,
-    params: AgmParams,
-    xstar: np.ndarray,
-    fstar: float,
-) -> EnergyTerms:
-    """Energy of the current state; needs the true minimizer and value.
+def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
+               fstar: float) -> float:
+    """Energy E_k of the state, given fx = f(x_k) and the true minimizer and value.
 
     Uses the expanded anchor form of phi, so everything is computable from
     (x_k, v_k, grad f(x_k)) without evaluating any extra gradient.
     """
-    return _energy(state, obj.eval(state.x), params, xstar, fstar)
-
-
-def _energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
-            fstar: float) -> EnergyTerms:
-    """agm_energy given the objective value fx = f(x_k)."""
     h = params.h
     dx = state.x - xstar
     phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
     sigma = dx - h * h * state.grad_x
     gsq = float(state.grad_x @ state.grad_x)
     psi = float(fx - fstar - 0.5 * h * h * gsq)
-    e = (
+    return (
         0.5 * float(phi @ phi)
         - 0.5 * params.eta * float(sigma @ sigma)
         + params.theta * psi
     )
-    return EnergyTerms(phi=phi, sigma=sigma, psi=psi, E=e)
 
 
 def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray, certified: bool):
@@ -162,7 +144,7 @@ def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray, certified: bo
         fx = obj.eval(state.x)
         yield (fx, obj.eval(state.x - hh * state.grad_x),
                float(np.linalg.norm(state.grad_x)),
-               _energy(state, fx, params, xstar, fstar).E if certified else math.nan)
+               agm_energy(state, fx, params, xstar, fstar) if certified else math.nan)
         state = agm_step(state, obj, params)
 
 

@@ -71,23 +71,25 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     buf = array("d")  # the rows, flat: cheaper per step than a numpy row write
     it = rows(certified)
     n = 0
-    for k in range(n_rows):
-        try:
-            row = next(it)
-        except DivergenceError as err:
-            aborted_at = err.k
-            break
-        if k == 0:
-            gap0 = row[0] - fstar if certified else math.nan
-            cap = blowup * max(1.0, gap0)
-            width = 1 + len(row)
-        buf.extend(row)
-        n = k + 1
-        if not all(map(math.isfinite, row[:len(best_of)])) or (
-            certified and row[gap] - fstar > cap
-        ):
-            aborted_at = k
-            break
+    # the run ends at its first non-finite value, so overflow warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_rows):
+            try:
+                row = next(it)
+            except DivergenceError as err:
+                aborted_at = err.k
+                break
+            if k == 0:
+                gap0 = row[0] - fstar if certified else math.nan
+                cap = blowup * max(1.0, gap0)
+                width = 1 + len(row)
+            buf.extend(row)
+            n = k + 1
+            if not all(map(math.isfinite, row[:len(best_of)])) or (
+                certified and row[gap] - fstar > cap
+            ):
+                aborted_at = k
+                break
 
     data = np.full((n, len(columns)), np.nan)
     data[:, 0] = np.arange(n) * step

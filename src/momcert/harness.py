@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -208,25 +207,24 @@ def build_problem(
         return pl_sine_problem(), np.array([config.x0])
 
     mu = config.q * config.L
-    if config.problem == "quadratic":
-        spectrum = np.geomspace(mu, config.L, config.d)
-        b = rng_problem.standard_normal(config.d)
-        make = partial(quadratic_problem, spectrum, b, seed=config.seed)
-    else:
-        sv = np.sqrt(np.geomspace(mu, config.L, config.d))
-        u = _random_orthogonal(config.d, rng_problem)
-        v = _random_orthogonal(config.d, rng_problem)
-        a = u @ (sv[:, None] * v.T)
-        b = 3.0 * rng_problem.standard_normal(config.d)
-        lam = config.lam
-        if lam is None:
-            lam = 0.3 * float(np.max(np.abs(a.T @ b)))
-        make = partial(lasso_problem, a, b, lam)
     try:
-        obj = make()
-    except (ArithmeticError, ValueError, RuntimeError) as err:
-        # a failed residual check, a rank-deficient A, or a reference
-        # minimizer that does not converge
+        if config.problem == "quadratic":
+            spectrum = np.geomspace(mu, config.L, config.d)
+            b = rng_problem.standard_normal(config.d)
+            obj = quadratic_problem(spectrum, b, seed=config.seed)
+        else:
+            sv = np.sqrt(np.geomspace(mu, config.L, config.d))
+            u = _random_orthogonal(config.d, rng_problem)
+            v = _random_orthogonal(config.d, rng_problem)
+            a = u @ (sv[:, None] * v.T)
+            b = 3.0 * rng_problem.standard_normal(config.d)
+            lam = config.lam
+            if lam is None:
+                lam = 0.3 * float(np.max(np.abs(a.T @ b)))
+            obj = lasso_problem(a, b, lam)
+    except (ArithmeticError, ValueError, RuntimeError, MemoryError) as err:
+        # a failed residual check, a rank-deficient A, a reference minimizer
+        # that does not converge, or a d too large to allocate
         raise ConfigError(
             f"{config.problem} instance with q = {config.q:g}, d = {config.d} "
             f"cannot be built: {err}"

@@ -22,13 +22,14 @@ The certified energy is
 which decays like eps(t) <= eps(0) exp(-decay_rate t) for admissible
 bundles. Integration is classical fixed-step RK4; certificates allow for
 its O(dt^4) error through a stiffness-scaled per-step tolerance.
+`ode_energy(x, z, f(x), params, x*, f*)` evaluates eps, and `ode_run`'s
+samples call it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,7 +43,6 @@ from .trace import Trace
 
 __all__ = [
     "OdeState",
-    "OdeEnergy",
     "flow_vector_field",
     "rk4_step",
     "ode_energy",
@@ -59,12 +59,6 @@ class OdeState:
     t: float
     x: np.ndarray
     z: np.ndarray
-
-
-@dataclass(frozen=True)
-class OdeEnergy:
-    eps: float
-    f_gap: float
 
 
 # One kernel for both state types, so that there is one operation order:
@@ -100,17 +94,6 @@ def _rk4(x, z, dt: float, grad, c, finite, k: int):
     return x, z
 
 
-def _energy(x, z, f, xstar, fstar, params: OdeParams, dot) -> float:
-    """eps at the state (x, z) given its objective value f."""
-    dx = x - xstar
-    phi = z + params.xi * dx
-    return (
-        0.5 * float(dot(phi, phi))
-        - 0.5 * params.eta * float(dot(dx, dx))
-        + params.theta * float(f - fstar)
-    )
-
-
 def flow_vector_field(
     state: OdeState, obj: SmoothObjective, params: OdeParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,16 +118,18 @@ def rk4_step(
     return OdeState(t=state.t + dt, x=x, z=z)
 
 
-def ode_energy(
-    state: OdeState,
-    obj: SmoothObjective,
-    params: OdeParams,
-    xstar: np.ndarray,
-    fstar: float,
-) -> OdeEnergy:
-    f = obj.eval(state.x)
-    return OdeEnergy(eps=_energy(state.x, state.z, f, xstar, fstar, params, np.dot),
-                     f_gap=float(f - fstar))
+def ode_energy(x, z, f, params: OdeParams, xstar, fstar: float) -> float:
+    """eps at the state (x, z), given f = f(x) and the true minimizer and value.
+
+    x, z and xstar are Python floats (d = 1) or 1-d arrays.
+    """
+    dx = x - xstar
+    phi = z + params.xi * dx
+    if isinstance(dx, float):
+        pp, dd = phi * phi, dx * dx
+    else:
+        pp, dd = float(np.dot(phi, phi)), float(np.dot(dx, dx))
+    return 0.5 * pp - 0.5 * params.eta * dd + params.theta * float(f - fstar)
 
 
 def default_dt(obj: SmoothObjective, params: OdeParams) -> float:
@@ -166,16 +151,16 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     if obj.dimension == 1:
         grad = lambda u: float(obj.grad(np.array([u]))[0])
         feval = lambda u: obj.eval(np.array([u]))
-        x, z, finite, dot = float(x0[0]), 0.0, math.isfinite, operator.mul
+        x, z, finite = float(x0[0]), 0.0, math.isfinite
         if certified:
             xstar = float(xstar[0])
     else:
         grad, feval = obj.grad, obj.eval
-        x, z, finite, dot = x0, np.zeros(x0.size), _all_finite, np.dot
+        x, z, finite = x0, np.zeros(x0.size), _all_finite
     c = _coefficients(params)
     for k in itertools.count(1):
         f = feval(x)
-        eps = _energy(x, z, f, xstar, fstar, params, dot) if certified else math.nan
+        eps = ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
         if k == 1:
             summary["eps0"] = eps
             summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan

@@ -15,6 +15,9 @@ v_k - v_{k-1} = -alpha h v_k - (1 + alpha h) h G_s(y_k), and the energy
 
 contracts like (1 + A h) E_{k+1} <= E_k. The gap bound runs at rho, which
 for omega > 0 is slightly below A h; certificates use A, bounds use rho.
+
+`pgm_init`, `pgm_step` and `pgm_energy(state, F(x_{k+1}), params, x*, F*)`
+are the per-step API, and `pgm_run` drives these same functions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .trace import Trace
 
 __all__ = [
     "PgmState",
-    "PgmEnergyTerms",
     "pgm_init",
     "pgm_step",
     "pgm_energy",
@@ -44,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PgmState:
-    """Index k holds x_k (x_prev), x_{k+1} (x_curr), y_k and v_k.
+    """Index k holds x_k (x_prev), x_{k+1} (x_curr), y_k, v_k and g = G_s(y_k).
 
     v is defined as (x_curr - x_prev) / h rather than carried through a
     separate recursion, so the two can never drift apart.
@@ -55,16 +57,11 @@ class PgmState:
     x_curr: np.ndarray
     y: np.ndarray
     v: np.ndarray
-
-
-@dataclass(frozen=True)
-class PgmEnergyTerms:
-    phi: np.ndarray
-    E: float
+    g: np.ndarray
 
 
 def pgm_init(obj: CompositeObjective, params: PgmParams, x0: np.ndarray) -> PgmState:
-    """State at k = 0: zero velocity, x_1 = x_0, and y_0 taken as x_0."""
+    """State at k = 0: zero velocity, x_1 = x_0, y_0 taken as x_0, g = G_s(x_0)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.smooth.dimension,):
         raise ValueError(
@@ -72,17 +69,12 @@ def pgm_init(obj: CompositeObjective, params: PgmParams, x0: np.ndarray) -> PgmS
         )
     return PgmState(
         k=0, x_prev=x0.copy(), x_curr=x0.copy(), y=x0.copy(),
-        v=np.zeros_like(x0),
+        v=np.zeros_like(x0), g=grad_mapping(obj, x0, params.h * params.h),
     )
 
 
 def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> PgmState:
-    return _step(state, obj, params)[0]
-
-
-def _step(state: PgmState, obj: CompositeObjective,
-          params: PgmParams) -> tuple[PgmState, np.ndarray]:
-    """pgm_step, also returning the gradient mapping G_s(y_{k+1}) it took."""
+    """Step k -> k+1; the new state keeps the G_s(y_{k+1}) it took as g."""
     h = params.h
     s = h * h
     y_next = state.x_curr + (state.x_curr - state.x_prev) / (1.0 + params.alpha * h)
@@ -96,48 +88,37 @@ def _step(state: PgmState, obj: CompositeObjective,
         x_curr=x_next,
         y=y_next,
         v=(x_next - state.x_curr) / h,
-    ), g
+        g=g,
+    )
 
 
-def pgm_energy(
-    state: PgmState,
-    obj: CompositeObjective,
-    params: PgmParams,
-    xstar: np.ndarray,
-    fstar: float,
-) -> PgmEnergyTerms:
-    return _energy(state, obj.total(state.x_curr), params, xstar, fstar)
-
-
-def _energy(state: PgmState, f_curr: float, params: PgmParams,
-            xstar: np.ndarray, fstar: float) -> PgmEnergyTerms:
-    """pgm_energy given f_curr = F(x_{k+1})."""
+def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndarray,
+               fstar: float) -> float:
+    """Energy E_k of the state, given f_curr = F(x_{k+1}) and the true F*."""
     dx = state.x_curr - xstar
     phi = state.v + params.xi * dx
-    e = (
+    return (
         0.5 * float(phi @ phi)
         - 0.5 * params.eta * float(dx @ dx)
         + params.theta * (f_curr - fstar)
     )
-    return PgmEnergyTerms(phi=phi, E=e)
 
 
 def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray,
           certified: bool):
     """Rows (F(x_k), F(x_{k+1}), ||G_s(y_k)||, E_k) for run_discrete.
 
-    Per step: one gradient mapping (one grad, one prox), which the next
-    row's grad_norm reuses, and one F at the new iterate, which serves the
-    energy, then f_gap_y, then the next row's f_gap_x.
+    Per step: one gradient mapping (one grad, one prox) in pgm_step, and
+    one F at the new iterate, which serves the energy, then f_gap_y, then
+    the next row's f_gap_x.
     """
     xstar, fstar = obj.minimizer, obj.min_value
     state = pgm_init(obj, params, x0)
     f_prev = f_curr = obj.total(state.x_curr)
-    g = grad_mapping(obj, state.y, params.h * params.h)
     while True:
-        yield (f_prev, f_curr, float(np.linalg.norm(g)),
-               _energy(state, f_curr, params, xstar, fstar).E if certified else math.nan)
-        state, g = _step(state, obj, params)
+        yield (f_prev, f_curr, float(np.linalg.norm(state.g)),
+               pgm_energy(state, f_curr, params, xstar, fstar) if certified else math.nan)
+        state = pgm_step(state, obj, params)
         f_prev, f_curr = f_curr, obj.total(state.x_curr)
 
 

@@ -56,8 +56,7 @@ class TestInit:
         st = agm_init(obj, p, obj.minimizer)
         np.testing.assert_array_equal(st.v, 0.0)
         np.testing.assert_allclose(st.y, obj.minimizer, atol=1e-15)
-        terms = agm_energy(st, obj, p, obj.minimizer, obj.min_value)
-        assert terms.E == 0.0
+        assert agm_energy(st, obj.eval(st.x), p, obj.minimizer, obj.min_value) == 0.0
 
     def test_initial_velocity_formula(self):
         obj = quadratic_problem([2.0, 9.0], [1.0, -1.0])
@@ -115,24 +114,29 @@ class TestEnergy:
         obj = quadratic_problem([1.0, 4.0], [1.0, 2.0])
         p = agm_params_sc(1.0, 4.0, 1.5, 0.5)
         st = agm_step(agm_init(obj, p, np.array([2.0, -1.0])), obj, p)
-        terms = agm_energy(st, obj, p, obj.minimizer, obj.min_value)
+        fx = obj.eval(st.x)
+        energy = agm_energy(st, fx, p, obj.minimizer, obj.min_value)
         h = p.h
         dx = st.x - obj.minimizer
         phi = (1.0 + p.xi * h) * st.v + h * st.grad_x + p.xi * dx
         sigma = dx - h * h * st.grad_x
-        psi = obj.eval(st.x) - obj.min_value - 0.5 * h * h * st.grad_x @ st.grad_x
+        psi = fx - obj.min_value - 0.5 * h * h * st.grad_x @ st.grad_x
         e = 0.5 * phi @ phi - 0.5 * p.eta * sigma @ sigma + p.theta * psi
-        np.testing.assert_allclose(terms.phi, phi, atol=1e-15)
-        assert terms.E == pytest.approx(e, abs=1e-15)
+        # with eta = theta = 0 the energy is its phi term alone
+        phi_term = agm_energy(st, fx, replace(p, eta=0.0, theta=0.0),
+                              obj.minimizer, obj.min_value)
+        assert phi_term == pytest.approx(0.5 * phi @ phi, abs=1e-15)
+        assert energy == pytest.approx(e, abs=1e-15)
 
     def test_lookahead_gap_term_is_nonnegative(self):
         # psi >= 0 by smoothness with h^2 = 1 / L
         obj = quadratic_problem(np.geomspace(1.0, 50.0, 4), np.ones(4), seed=5)
         p = agm_params_sc(1.0, 50.0, 1.0, 0.0)
+        h = p.h
         st = agm_init(obj, p, obj.minimizer + 3.0)
         for _ in range(30):
-            terms = agm_energy(st, obj, p, obj.minimizer, obj.min_value)
-            assert terms.psi >= -1e-12
+            psi = obj.eval(st.x) - obj.min_value - 0.5 * h * h * st.grad_x @ st.grad_x
+            assert psi >= -1e-12
             st = agm_step(st, obj, p)
 
 
@@ -202,7 +206,6 @@ class TestRun:
         assert np.all(gap <= bound * (1.0 + 1e-9) + floor)
         assert tr.summary["final_gap"] <= 1e-9 * tr.summary["initial_gap"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_parameters_abort_with_index(self):
         obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=9)
         bad = replace(agm_params_sc(1.0, 100.0, 2.0, 0.0), gamma=50.0)
@@ -224,7 +227,6 @@ class TestRun:
         gap = tr.column("f_gap_x")
         assert np.all(gap >= 0.0) and gap.min() == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_uncertified_divergence_still_aborts(self):
         obj = quadratic_problem(np.geomspace(1.0, 100.0, 4), np.ones(4), seed=10)
         anon = replace(obj, minimizer=None, min_value=None)
@@ -271,7 +273,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
     xstar, fstar = obj.minimizer, obj.min_value
     certified = certify and xstar is not None and fstar is not None
     st = agm_init(obj, p, x0)
-    e_now = agm_energy(st, obj, p, xstar, fstar).E if certified else np.nan
+    e_now = agm_energy(st, obj.eval(st.x), p, xstar, fstar) if certified else np.nan
     tol_abs = 1e-12 * (1.0 + abs(e_now))
     gap0 = obj.eval(st.x) - fstar if certified else np.nan
     rows, results, aborted = [], [], None
@@ -293,7 +295,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
             aborted = err.k
             break
         if certified:
-            e_next = agm_energy(st, obj, p, xstar, fstar).E
+            e_next = agm_energy(st, obj.eval(st.x), p, xstar, fstar)
             slack = e_now - (1.0 + p.A * p.h) * e_next  # (1 + A h) E_{k+1} <= E_k
             results.append((k, slack, slack >= -(tol_abs + 1e-9 * abs(e_now))))
             rows[-1][5] = slack
@@ -324,7 +326,6 @@ _X8 = _quad8().minimizer + np.random.default_rng(8).standard_normal(8)
 class TestRunEquivalence:
     """The shared driver against the public step, energy and certificate."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", [
         pytest.param(lambda: (_quad8(), _SC, _X8, 300, True), id="certified"),
         pytest.param(lambda: (_quad8(), _SC, _X8, 300, False), id="uncertified"),
@@ -347,6 +348,20 @@ class TestRunEquivalence:
     def test_tripled_rate_fails_some_checks(self):
         tr = agm_run(_quad8(), replace(_SC, A=3.0 * _SC.A), _X8, 300)
         assert 0 < tr.summary["certificates_failed"] < 300
+
+    def test_run_calls_the_public_energy(self, monkeypatch):
+        # one agm_energy call per certified row, none without certification
+        rows = []
+
+        def counted(state, *args):
+            rows.append(state.k)
+            return agm_energy(state, *args)
+
+        monkeypatch.setattr("momcert.agm.agm_energy", counted)
+        tr = agm_run(_quad8(), _SC, _X8, 300)
+        assert rows == list(range(tr.n_rows))
+        agm_run(_quad8(), _SC, _X8, 300, certify=False)
+        assert len(rows) == tr.n_rows
 
 
 def _counting(obj, counts):

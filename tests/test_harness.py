@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +34,21 @@ from momcert.harness import (
     rate_table_text,
 )
 from momcert.oracle import CompositeObjective
+
+
+def _cli_env():
+    """The environment for a `python -m momcert` subprocess of this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(momcert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+def _main_without_runtime_warnings(argv):
+    """main(argv), asserting that it raised no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return rc
 
 
 def _gap_trace(gaps, kind="agm"):
@@ -294,7 +311,6 @@ class TestOfflineVerdict:
         assert s["certificates_failed"] == len(failed)
         assert (len(failed) > 0) == (scale > 1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", ["clean", "failing", "aborted"])
     @pytest.mark.parametrize("solver", ["agm", "pgm", "ode"])
     def test_certify_trace_reproduces_the_run(self, tmp_path, solver, case):
@@ -485,17 +501,32 @@ class TestCli:
         assert err.value.code == 2
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(momcert.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "momcert", "ode",
              "--problem", "pl_sine", "--regime", "pl", "--x0", "2.0", "-T", "5",
              "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_cli_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert "certificates:" in proc.stdout
+
+    @pytest.mark.parametrize("problem", ["quadratic", "lasso"])
+    def test_instance_too_large_to_allocate_exits_two(self, tmp_path, problem):
+        # a d x d matrix at d = 10^5 takes 75 GiB; the 4 GiB address-space
+        # limit makes its allocation fail whatever the overcommit mode
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "momcert", "solve", "--problem", problem,
+             "--d", "100000", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=_cli_env(), timeout=120,
+            preexec_fn=limit,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_grid(self, tmp_path, capsys):
         rc = main(["sweep", "--problem", "quadratic", "--d", "4", "--q", "0.1",
@@ -530,11 +561,11 @@ class TestCli:
         assert np.all(np.isnan(table["envelope"]))
         assert table["f_gap"].min() == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ode_with_overflowing_objective_aborts(self, tmp_path, capsys):
         # f(x0) overflows to inf while the state stays finite
-        rc = main(["ode", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
-                   "-T", "1", "--out", str(tmp_path)])
+        rc = _main_without_runtime_warnings(
+            ["ode", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
+             "-T", "1", "--out", str(tmp_path)])
         assert rc == 1
         out = capsys.readouterr().out
         assert "run aborted at index 0" in out
@@ -544,11 +575,11 @@ class TestCli:
         csv = (tmp_path / "pl_sine_ode_pl_w0_s0.csv").read_text().splitlines()
         assert s["rows"] == 1 and len(csv) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solve_with_overflowing_objective_aborts(self, tmp_path, capsys):
         # f(x0) overflows to inf, so the discrete run ends at its first row
-        rc = main(["solve", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
-                   "--iters", "50", "--out", str(tmp_path)])
+        rc = _main_without_runtime_warnings(
+            ["solve", "--problem", "pl_sine", "--regime", "pl", "--x0", "1e160",
+             "--iters", "50", "--out", str(tmp_path)])
         assert rc == 1
         assert "run aborted at index 0" in capsys.readouterr().out
         s = json.loads((tmp_path / "pl_sine_agm_pl_s0.json").read_text())

@@ -56,8 +56,8 @@ class TestInit:
         obj = _lasso_instance()
         p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, 1.0)
         st = pgm_init(obj, p, obj.minimizer)
-        terms = pgm_energy(st, obj, p, obj.minimizer, obj.min_value)
-        assert terms.E == 0.0
+        assert pgm_energy(st, obj.total(st.x_curr), p, obj.minimizer,
+                          obj.min_value) == 0.0
         st = pgm_step(st, obj, p)
         assert obj.total(st.x_curr) - obj.min_value <= 1e-12 * (1 + abs(obj.min_value))
 
@@ -170,7 +170,6 @@ class TestRun:
         obj = _lasso_instance()
         assert np.sum(np.abs(obj.minimizer) < 1e-10) >= 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
         obj = _lasso_instance()
         p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, 0.0)
@@ -257,7 +256,8 @@ def _loop_run(obj, p, x0, iters, certify=True):
     xstar, fstar = obj.minimizer, obj.min_value
     certified = certify and xstar is not None and fstar is not None
     st = pgm_init(obj, p, x0)
-    e_now = pgm_energy(st, obj, p, xstar, fstar).E if certified else np.nan
+    e_now = (pgm_energy(st, obj.total(st.x_curr), p, xstar, fstar) if certified
+             else np.nan)
     tol_abs = 1e-12 * (1.0 + abs(e_now))
     gap0 = obj.total(st.x_prev) - fstar if certified else np.nan
     rows, results, aborted = [], [], None
@@ -280,7 +280,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
             aborted = err.k
             break
         if certified:
-            e_next = pgm_energy(st, obj, p, xstar, fstar).E
+            e_next = pgm_energy(st, obj.total(st.x_curr), p, xstar, fstar)
             slack = e_now - (1.0 + p.A * p.h) * e_next  # (1 + A h) E_{k+1} <= E_k
             results.append((k, slack, slack >= -(tol_abs + 1e-9 * abs(e_now))))
             rows[-1][5] = slack
@@ -313,7 +313,6 @@ def _divergent_case():
 class TestRunEquivalence:
     """The shared driver against the public step, energy and certificate."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", [
         pytest.param(lambda: _case(), id="certified"),
         pytest.param(lambda: _case(certify=False), id="uncertified"),
@@ -335,6 +334,24 @@ class TestRunEquivalence:
     def test_tripled_rate_fails_some_checks(self):
         tr = pgm_run(*_case(scale_a=3.0)[:4])
         assert 0 < tr.summary["certificates_failed"] < 300
+
+    def test_run_calls_the_public_step_and_energy(self, monkeypatch):
+        # one pgm_step per step and one pgm_energy per certified row
+        steps, rows = [], []
+
+        def step(state, *args):
+            steps.append(state.k)
+            return pgm_step(state, *args)
+
+        def energy(state, *args):
+            rows.append(state.k)
+            return pgm_energy(state, *args)
+
+        monkeypatch.setattr("momcert.pgm.pgm_step", step)
+        monkeypatch.setattr("momcert.pgm.pgm_energy", energy)
+        tr = pgm_run(*_case()[:4])
+        assert steps == list(range(tr.n_rows - 1))
+        assert rows == list(range(tr.n_rows))
 
 
 class TestOracleBudget:
