@@ -12,8 +12,9 @@ z(0) = 0, i.e. the velocity starts at -beta grad f(x0).
 
 RK4 evaluates k_x = z + (-beta) g, k_z = (-alpha) z + (alpha beta - gamma) g
 at g = grad f(x), stages w + (dt/2) k and w + dt k, and the step
-w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) for w = x, z: on a pair of Python
-floats when d = 1, on a pair of 1-d arrays otherwise.
+w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) for w = x, z: on a pair of 1-d
+arrays, or of Python floats when d = 1, where f and grad f come from
+`oracle.on_floats`. A non-finite x or z raises DivergenceError.
 
 The certified energy is
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .certificates import DivergenceError
 from .driver import run_trace
-from .oracle import SmoothObjective
+from .oracle import SmoothObjective, on_floats
 from .params import OdeParams
 from .trace import Trace
 
@@ -89,7 +90,8 @@ def _rk4(x, z, dt: float, grad, c, finite, k: int):
     k4x, k4z = _field(x + dt * k3x, z + dt * k3z, grad, c)
     x = x + dt / 6.0 * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
     z = z + dt / 6.0 * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z)
-    if not (finite(x) and finite(z)):
+    # x + z is finite unless x or z is, or the sum of two finite ones overflows
+    if not (finite(x + z) or (finite(x) and finite(z))):
         raise DivergenceError(k, f"state not finite at t = {k * dt:.6g}")
     return x, z
 
@@ -149,8 +151,7 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     """
     xstar, fstar = obj.minimizer, obj.min_value
     if obj.dimension == 1:
-        grad = lambda u: float(obj.grad(np.array([u]))[0])
-        feval = lambda u: obj.eval(np.array([u]))
+        feval, grad = on_floats(obj)
         x, z, finite = float(x0[0]), 0.0, math.isfinite
         if certified:
             xstar = float(xstar[0])

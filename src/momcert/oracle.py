@@ -8,11 +8,14 @@ differences, and growth constants are estimated from scans rather than
 assumed.
 
 Objectives are plain frozen dataclasses holding callables. Points are 1-d
-numpy arrays of float64 throughout, including one-dimensional problems.
+numpy arrays of float64, including one-dimensional problems; a 1-d
+objective with `takes_floats` set also takes a Python float and then
+returns one, and `on_floats` gives every 1-d objective that form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -42,7 +45,9 @@ class SmoothObjective:
     `strong_convexity`, `pl_constant` and `qg_constant` are None when the
     problem does not come with that guarantee. `minimizer` / `min_value`
     are None when no ground truth is available; certificate code treats
-    that as "run uncertified".
+    that as "run uncertified". `takes_floats` declares that a 1-d
+    objective's eval and grad also take a Python float and then return one,
+    bit for bit as on a (1,) array, so the flow and PL scan skip the boxing.
     """
 
     dimension: int
@@ -54,6 +59,15 @@ class SmoothObjective:
     qg_constant: Optional[float] = None
     minimizer: Optional[np.ndarray] = None
     min_value: Optional[float] = None
+    takes_floats: bool = False
+
+
+def on_floats(obj: SmoothObjective) -> tuple[Callable, Callable]:
+    """(f, df) of a 1-d objective on Python floats, through obj's callables."""
+    if obj.takes_floats:
+        return obj.eval, obj.grad
+    return (lambda u: obj.eval(np.array([u])),
+            lambda u: float(obj.grad(np.array([u]))[0]))
 
 
 @dataclass(frozen=True)
@@ -163,12 +177,23 @@ def quadratic_problem(
     )
 
 
-def _sine_f(x: np.ndarray) -> float:
-    return float(x[0] ** 2 + 3.0 * np.sin(x[0]) ** 2)
+# On Python floats; a (1,) array is unwrapped and a gradient wrapped back.
+# From |u| = 1e154 (and at inf or nan), where u ** 2 or sin raises in Python,
+# the same expression runs on numpy scalars and gives numpy's inf or nan.
 
 
-def _sine_grad(x: np.ndarray) -> np.ndarray:
-    return np.array([2.0 * x[0] + 3.0 * np.sin(2.0 * x[0])])
+def _sine_f(x) -> float:
+    u = float(x[0]) if isinstance(x, np.ndarray) else x
+    if abs(u) < 1e154:
+        return u ** 2 + 3.0 * math.sin(u) ** 2
+    return float(np.float64(u) ** 2 + 3.0 * np.sin(u) ** 2)
+
+
+def _sine_grad(x):
+    u = float(x[0]) if isinstance(x, np.ndarray) else x
+    g = (2.0 * u + 3.0 * math.sin(2.0 * u) if abs(u) < 1e154
+         else float(2.0 * np.float64(u) + 3.0 * np.sin(2.0 * u)))
+    return np.array([g]) if isinstance(x, np.ndarray) else g
 
 
 def pl_sine_problem() -> SmoothObjective:
@@ -186,6 +211,7 @@ def pl_sine_problem() -> SmoothObjective:
         lipschitz=8.0,
         minimizer=np.zeros(1),
         min_value=0.0,
+        takes_floats=True,
     )
     mu_pl = estimate_pl_constant(obj, -20.0, 20.0, 20001)
     return replace(obj, pl_constant=mu_pl)
@@ -262,14 +288,20 @@ def reference_minimizer(
     Deliberately the dullest algorithm in the package: fixed step 1/L from
     the origin until ||G_{1/L}(x)|| <= tol. Used as the ground truth that
     the momentum methods are measured against, so it shares no code with
-    them beyond the prox call.
+    them beyond the prox call. With f mu-strongly convex ||G|| shrinks by
+    about 1 - mu/L a step, so a G_0 that needs more than max_iter such steps
+    (about kappa log(||G_0|| / tol)) to reach tol is refused at once.
     """
     s = 1.0 / obj.smooth.lipschitz
+    q = (obj.smooth.strong_convexity or 0.0) * s  # mu / L
     x = np.zeros(obj.smooth.dimension)
-    for _ in range(max_iter):
+    for k in range(max_iter):
         g = grad_mapping(obj, x, s)
-        if np.linalg.norm(g) <= tol:
+        norm = np.linalg.norm(g)
+        if norm <= tol:
             return x, obj.total(x)
+        if k == 0 and 0.0 < q < 1.0 and math.log(norm / tol) > -math.log1p(-q) * max_iter:
+            break
         x = x - s * g
     raise RuntimeError(
         f"reference proximal gradient did not reach ||G|| <= {tol:g} "
@@ -319,15 +351,18 @@ def estimate_pl_constant(
     if points is None:
         if obj.dimension != 1:
             raise ValueError("grid scan is 1-d only; pass points explicitly")
-        points = [np.array([t]) for t in np.linspace(lo, hi, n)]
+        # on floats g * g is the one-element g @ g, bit for bit
+        f, df = on_floats(obj)
+        xs, sq = np.linspace(lo, hi, n).tolist(), lambda g: g * g
+    else:
+        f, df = obj.eval, obj.grad
+        xs, sq = [np.asarray(p, dtype=float) for p in points], lambda g: float(g @ g)
     best = np.inf
-    for p in points:
-        x = np.asarray(p, dtype=float)
-        gap = obj.eval(x) - obj.min_value
+    for x in xs:
+        gap = f(x) - obj.min_value
         if gap < 1e-12:
             continue
-        g = obj.grad(x)
-        best = min(best, float(g @ g) / (2.0 * gap))
+        best = min(best, sq(df(x)) / (2.0 * gap))
     if not np.isfinite(best):
         raise ValueError("no sample point had f(x) - f* >= 1e-12")
     return best

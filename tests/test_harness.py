@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -459,6 +460,18 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "residual" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_lasso_past_the_reference_cap_exits_two_at_once(self, tmp_path, capsys):
+        # kappa = 1e9 would need about 3e10 reference steps; the estimate
+        # refuses the instance before the loop instead of after 10^7 steps
+        start = time.perf_counter()
+        rc = main(["solve", "--problem", "lasso", "--q", "1e-9", "--d", "5",
+                   "--lam", "0", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cannot be built" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -94,6 +94,19 @@ class TestRk4:
         np.testing.assert_array_equal(nxt.z, st.z)
         assert nxt.t == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_finite_state_whose_sum_overflows_does_not_abort(self, d):
+        # zero field and a tiny step: x and z barely move and stay finite,
+        # while x + z = 1.9e308 overflows
+        flat = SmoothObjective(dimension=d, eval=lambda x: 0.0,
+                               grad=lambda x: np.zeros(d), lipschitz=1.0)
+        p = ode_params_pl(1.0, beta=0.5)
+        st = OdeState(0.0, np.full(d, 1.7e308), np.full(d, 2e307))
+        with np.errstate(over="ignore"):
+            nxt = rk4_step(st, 1e-300, flat, p)
+            assert not np.isfinite(nxt.x + nxt.z).any()
+        assert np.isfinite(nxt.x).all() and np.isfinite(nxt.z).all()
+
     def test_rejects_nonpositive_dt(self):
         obj = quadratic_problem([1.0], [0.0])
         p = ode_params_pl(1.0, beta=1.0)
@@ -431,3 +444,27 @@ class TestRunEquivalence:
         assert s["certificates_checked"] == tr.n_rows
         assert s["certificates_failed"] == len(failed)
         assert s["min_certificate_slack"] == min(*col[1:], s["envelope_slack"])
+
+
+class TestOracleBudget:
+    @pytest.mark.parametrize("name, kind", [("pl_sine", float),
+                                            ("quadratic-1d", np.ndarray)])
+    def test_four_gradients_and_one_value_per_sample(self, name, kind):
+        # the README table: 4 gradients (the RK4 stages) and 1 value per
+        # sample, every one through the objective's own callables; pl_sine
+        # declares takes_floats and gets Python floats, others (1,) arrays
+        obj, p, x0, dt = TestRunEquivalence._case(name)
+        args = {"eval": [], "grad": []}
+
+        def counted(key, fn):
+            def call(u):
+                args[key].append(u)
+                return fn(u)
+            return call
+
+        obj = replace(obj, eval=counted("eval", obj.eval), grad=counted("grad", obj.grad))
+        tr = ode_run(obj, p, x0, horizon=2.0, dt=dt)
+        assert tr.n_rows == 201 and tr.summary["certificates_failed"] == 0
+        assert len(args["eval"]) == tr.n_rows
+        assert len(args["grad"]) == 4 * (tr.n_rows - 1)
+        assert {type(u) for u in args["eval"] + args["grad"]} == {kind}

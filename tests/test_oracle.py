@@ -6,9 +6,12 @@ routines (lstsq, eigvalsh) computed here in the test, never from the
 code under test.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momcert import (
@@ -25,6 +28,7 @@ from momcert import (
     reference_minimizer,
     soft_threshold,
 )
+from momcert.oracle import _sine_f, _sine_grad
 
 # Frozen once from a dense scan of |f'|^2 / (2 f) for x^2 + 3 sin(x)^2
 # over [-20, 20] with 20001 points; a Brent refinement puts the continuum
@@ -115,6 +119,47 @@ class TestPlSine:
             g = obj.grad(p)
             # rounded grid estimate; continuum minimum is 6.3e-7 below it
             assert 0.5 * float(g @ g) >= obj.pl_constant * gap * (1.0 - 2e-6)
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class TestSineOnFloats:
+    """pl_sine's callables on a Python float against a (1,) array."""
+
+    def test_declared_and_kept_by_replace(self):
+        obj = pl_sine_problem()
+        assert obj.takes_floats and replace(obj, min_value=None).takes_floats
+        assert not quadratic_problem([1.0], [0.0]).takes_floats
+
+    # signed zeros, subnormals, u ** 2 past the range, 2 u past the range,
+    # sin of an infinity, and nan always run
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.5e-310)
+    @example(1e155)
+    @example(-1e155)
+    @example(1.7e308)
+    @example(-1.7e308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    def test_float_and_array_forms_agree_bitwise(self, u):
+        with np.errstate(all="ignore"):
+            x = np.array([u])
+            # reference: the same formulas on numpy scalars
+            want_f = float(x[0] ** 2 + 3.0 * np.sin(x[0]) ** 2)
+            want_g = 2.0 * x[0] + 3.0 * np.sin(2.0 * x[0])
+            f_float, f_array = _sine_f(u), _sine_f(x)
+            g_float, g_array = _sine_grad(u), _sine_grad(x)
+        assert type(f_float) is float and type(g_float) is float
+        assert type(f_array) is float and g_array.shape == (1,)
+        assert _bits(f_float) == _bits(f_array) == _bits(want_f)
+        assert _bits(g_float) == _bits(g_array[0]) == _bits(want_g)
 
 
 class TestSoftThreshold:
@@ -246,6 +291,20 @@ class TestReferenceMinimizer:
         with pytest.raises(RuntimeError):
             reference_minimizer(obj, tol=1e-13, max_iter=1)
 
+    def test_hopeless_conditioning_is_refused_after_one_mapping(self):
+        # kappa = 1e9 needs about 3e10 steps to reach 1e-12 from ||G_0|| ~ 1,
+        # far past the cap: refused on the first mapping, not after 10^7
+        smooth = quadratic_problem([1e-9, 1.0], [1.0, 1.0])
+        calls = []
+        counted = replace(smooth, grad=lambda x: calls.append(1) or smooth.grad(x))
+        with pytest.raises(RuntimeError, match="did not reach"):
+            reference_minimizer(composite_from_smooth(counted))
+        assert len(calls) == 1
+        # at kappa = 100 the estimate (about 3e3 steps) is far under the cap
+        x, _ = reference_minimizer(composite_from_smooth(
+            quadratic_problem([0.01, 1.0], [1.0, 1.0])))
+        np.testing.assert_allclose(x, [100.0, 1.0], rtol=1e-9)
+
 
 class TestFiniteDiff:
     def test_quadratic_and_sine_pass(self):
@@ -284,6 +343,17 @@ class TestEstimatePl:
         assert estimate_pl_constant(obj, points=pts) == pytest.approx(1.0, rel=1e-13)
         with pytest.raises(ValueError):
             estimate_pl_constant(obj)  # no grid scan above dimension 1
+
+    @pytest.mark.parametrize("make", [pl_sine_problem,
+                                      lambda: quadratic_problem([0.7], [0.3])],
+                             ids=["pl_sine-floats", "quadratic-boxed"])
+    def test_grid_scan_equals_the_array_scan_bitwise(self, make):
+        # the 1-d grid scan runs on floats (pl_sine's own callables, or boxed
+        # into (1,) arrays); the explicit points run on arrays with g @ g
+        obj = make()
+        grid = [np.array([t]) for t in np.linspace(-20.0, 20.0, 20001)]
+        scan, points = estimate_pl_constant(obj), estimate_pl_constant(obj, points=grid)
+        assert float(scan).hex() == float(points).hex()
 
     def test_degenerate_inputs(self):
         obj = quadratic_problem([1.0], [0.0])
