@@ -56,13 +56,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AgmState:
-    """Iterate k of the recursion: x_k, y_k, v_k and the cached gradient."""
+    """Iterate k of the recursion: x_k, y_k, v_k and the cached gradient.
+
+    x_norm_max is the largest ||x_j|| over j < k, the scale of the rounding
+    that the check between the two recursion forms allows.
+    """
 
     k: int
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
     grad_x: np.ndarray
+    x_norm_max: float = 0.0
 
 
 def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmState:
@@ -97,9 +102,11 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
     )
     if not np.isfinite(x_next).all():
         raise DivergenceError(state.k + 1, "iterate is not finite")
-    # The velocity recursion must reproduce the same point.
+    # The velocity recursion must reproduce the same point. Both forms carry
+    # the rounding of every iterate so far, so the largest one sets the scale.
+    x_norm_max = max(state.x_norm_max, float(np.linalg.norm(state.x)))
     drift = np.linalg.norm(x_next - (state.x + h * state.v))
-    if drift > 1e-12 * max(1.0, float(np.linalg.norm(state.x))):
+    if drift > 1e-12 * max(1.0, x_norm_max):
         raise RuntimeError(
             f"step {state.k + 1}: two-sequence and velocity forms disagree "
             f"by {drift:.3e}"
@@ -108,7 +115,8 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
     v_next = (
         state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
     ) / (1.0 + ah)
-    return AgmState(k=state.k + 1, x=x_next, y=y_next, v=v_next, grad_x=g_next)
+    return AgmState(k=state.k + 1, x=x_next, y=y_next, v=v_next, grad_x=g_next,
+                    x_norm_max=x_norm_max)
 
 
 def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,

@@ -18,7 +18,7 @@ import numpy as np
 from .certificates import DivergenceError, certify_trace
 from .trace import Trace
 
-__all__ = ["DISCRETE_COLUMNS", "MAX_ROWS", "RowLimitError", "run_discrete", "run_trace"]
+__all__ = ["DISCRETE_COLUMNS"]
 
 DISCRETE_COLUMNS = (
     "k", "f_gap_x", "f_gap_y", "grad_norm", "energy",

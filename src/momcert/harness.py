@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -54,14 +54,9 @@ from .trace import Trace
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "load_config_file",
-    "build_problem",
-    "build_params",
     "fit_linear_rate",
     "run_experiment",
     "rate_table",
-    "rate_table_text",
-    "rate_table_csv",
     "main",
 ]
 
@@ -69,6 +64,7 @@ OUT_ENV_VAR = "MOMCERT_OUT"
 
 PROBLEMS = ("quadratic", "pl_sine", "lasso")
 SOLVERS = ("auto", "agm", "pgm", "ode")
+REGIMES = tuple(r.value for r in Regime)
 
 
 class ConfigError(ValueError):
@@ -106,15 +102,11 @@ class ExperimentConfig:
             raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        try:
-            Regime(self.regime)
-        except ValueError:
-            raise ConfigError(
-                f"regime must be one of ('sc', 'qg', 'pl'), got {self.regime!r}"
-            ) from None
+        if self.regime not in REGIMES:
+            raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name not in _FLOAT_KEYS or (v is None and f.default is None):
+            if _KEY_TYPES[f.name] is not float or (v is None and f.default is None):
                 continue  # None stands for a derived default
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be a finite number, got {v}")
@@ -145,12 +137,13 @@ class ExperimentConfig:
         return "pgm" if self.problem == "lasso" else "agm"
 
 
-_BOOL_KEYS = {"certify", "quiet"}
-_INT_KEYS = {"d", "seed", "iters"}
-_FLOAT_KEYS = {
-    "q", "L", "lam", "x0", "x0_scale", "gamma", "omega", "alpha", "beta",
-    "theta", "horizon", "dt",
-}
+def _key_type(hint) -> type:
+    """The value type of a key annotated `hint`: T for Optional[T]."""
+    types = [t for t in get_args(hint) if t is not type(None)]
+    return types[0] if types else hint
+
+
+_KEY_TYPES = {key: _key_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def load_config_file(path: Union[str, Path]) -> dict:
@@ -176,18 +169,17 @@ def load_config_file(path: Union[str, Path]) -> dict:
 
 
 def _coerce(key: str, val: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if val.lower() in ("1", "true", "yes", "on"):
                 return True
             if val.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {val!r}")
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             return None if val.lower() == "none" else float(val)
-        return val
+        return kind(val)
     except ValueError as err:
         raise ConfigError(f"bad value for {key}: {err}") from None
 
@@ -394,8 +386,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> Trace:
     }
 
     if write:
-        out_dir = Path(config.out or os.environ.get(OUT_ENV_VAR) or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(config)
         base = _default_basename(config)
         csv_path = out_dir / (config.csv or f"{base}.csv")
         json_path = out_dir / (config.json or f"{base}.json")
@@ -404,6 +395,13 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> Trace:
         trace.write_csv(csv_path)
         trace.write_json(json_path)
     return trace
+
+
+def _out_dir(config: ExperimentConfig) -> Path:
+    """The output directory, created if needed: out, else $MOMCERT_OUT, else cwd."""
+    out_dir = Path(config.out or os.environ.get(OUT_ENV_VAR) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def exit_code_for(trace: Trace) -> int:
@@ -426,18 +424,17 @@ def rate_table(
     """Run each configuration and tabulate certified vs fitted rates.
 
     All configs must target the same problem instance (same problem key,
-    size and seed) so the rows are comparable. Rows are sorted by (regime,
-    gamma, omega) and count certificates_passed of certificates_checked.
+    size, penalty and seed) so the rows are comparable. Rows are sorted by
+    (regime, gamma, omega), count certificates_passed of
+    certificates_checked, and carry the run's exit_code.
     """
     if not configs:
         raise ConfigError("rate_table needs at least one configuration")
-    ref = (configs[0].problem, configs[0].d, configs[0].q, configs[0].L,
-           configs[0].seed)
-    for c in configs[1:]:
-        if (c.problem, c.d, c.q, c.L, c.seed) != ref:
+    keys = [(c.problem, c.d, c.q, c.L, c.lam, c.seed) for c in configs]
+    for key in keys:
+        if key != keys[0]:
             raise ConfigError(
-                "rate_table configs must share one problem instance; "
-                f"{(c.problem, c.d, c.q, c.L, c.seed)} != {ref}"
+                f"rate_table configs must share one problem instance; {key} != {keys[0]}"
             )
     rows = []
     for c in configs:
@@ -459,6 +456,7 @@ def rate_table(
             "iters_to_1e-9": tol_hit,
             "certificates_passed": s["certificates_checked"] - s["certificates_failed"],
             "certificates_checked": s["certificates_checked"],
+            "exit_code": exit_code_for(trace),
         })
     # pgm has no gamma: its NaN compares false both ways, so rank it as 0
     rows.sort(key=lambda r: (r["regime"], np.nan_to_num(r["gamma"]), r["omega"]))
@@ -508,34 +506,37 @@ def rate_table_csv(rows: Sequence[dict], path) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, grids: bool = False) -> None:
+    def flag(key: str, *aliases: str, **kwargs) -> None:
+        p.add_argument(f"--{key}", *aliases, type=_KEY_TYPES[key], **kwargs)
+
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--regime", choices=[r.value for r in Regime])
+    flag("problem", choices=PROBLEMS)
+    flag("regime", choices=REGIMES)
     if grids:
         p.add_argument("--gamma", type=float_list, dest="gammas",
                        help="comma-separated list, e.g. 1,1.5,2")
         p.add_argument("--omega", type=float_list, dest="omegas",
                        help="comma-separated list, e.g. 0,0.5,1")
     else:
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--omega", type=float)
-    p.add_argument("--iters", "-k", type=int)
-    p.add_argument("--horizon", "-T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or cwd)")
-    p.add_argument("--csv", help="trace CSV filename")
-    p.add_argument("--json", help="summary JSON filename")
+        flag("gamma")
+        flag("omega")
+    flag("iters", "-k")
+    flag("horizon", "-T")
+    flag("dt")
+    flag("seed")
+    flag("out", help=f"output directory (default ${OUT_ENV_VAR} or cwd)")
+    flag("csv", help="trace CSV filename")
+    flag("json", help="summary JSON filename")
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--d", type=int, help="problem dimension")
-    p.add_argument("--q", type=float, help="mu / L of the generated instance")
-    p.add_argument("--L", type=float, help="largest curvature of the instance")
-    p.add_argument("--lam", type=float, help="lasso penalty")
-    p.add_argument("--x0", type=float, help="start point for 1-d problems")
-    p.add_argument("--alpha", type=float, help="damping override")
-    p.add_argument("--beta", type=float, help="flow gradient damping")
-    p.add_argument("--theta", type=float, help="flow energy gap weight")
-    p.add_argument("--solver", choices=SOLVERS, help="override solver dispatch")
+    flag("d", help="problem dimension")
+    flag("q", help="mu / L of the generated instance")
+    flag("L", help="largest curvature of the instance")
+    flag("lam", help="lasso penalty")
+    flag("x0", help="start point for 1-d problems")
+    flag("alpha", help="damping override")
+    flag("beta", help="flow gradient damping")
+    flag("theta", help="flow energy gap weight")
+    flag("solver", choices=SOLVERS, help="override solver dispatch")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -619,7 +620,7 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
 
 def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
     """`sweep` writes every trace and the rate table; `rates` writes the
-    table only when --csv names it. Exit 1 if any certificate failed."""
+    table only when --csv names it. Exits with the worst run's exit code."""
     configs = _sweep_configs(args)
     base = configs[0]
     # --csv names the sweep table; traces keep their default basenames
@@ -627,15 +628,13 @@ def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
                       write_traces=sweep)
     name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
     if name:
-        out_dir = Path(base.out or os.environ.get(OUT_ENV_VAR) or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(base)
         rate_table_csv(rows, out_dir / name)
     if not base.quiet:
         print(rate_table_text(rows))
         if sweep:
             print(f"wrote {out_dir / name}")
-    bad = any(r["certificates_passed"] != r["certificates_checked"] for r in rows)
-    return 1 if bad else 0
+    return max(r["exit_code"] for r in rows)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

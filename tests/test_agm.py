@@ -108,6 +108,24 @@ class TestStep:
             scale = max(1.0, float(np.linalg.norm(expected[k])))
             assert np.linalg.norm(st.x - expected[k]) <= 1e-10 * scale
 
+    def test_velocity_off_by_more_than_rounding_raises(self):
+        p = agm_params_sc(1.0, 100.0, 2.0, 1.0)
+        obj = quadratic_problem(np.geomspace(1.0, 100.0, 5), np.arange(5.0), seed=3)
+        st = agm_step(agm_init(obj, p, obj.minimizer + 5.0), obj, p)
+        agm_step(st, obj, p)
+        with pytest.raises(RuntimeError, match="forms disagree"):
+            agm_step(replace(st, v=st.v * (1.0 + 1e-9)), obj, p)
+
+    def test_drift_check_scales_with_the_largest_iterate(self):
+        # from x0 = 1e100 the iterates shrink by many orders while both
+        # forms keep the rounding of the largest one
+        obj = pl_sine_problem()
+        p = agm_params_pl(obj.pl_constant, obj.lipschitz)
+        st = agm_init(obj, p, np.array([1e100]))
+        for _ in range(200):
+            st = agm_step(st, obj, p)
+        assert st.x_norm_max == 1e100 and abs(st.x[0]) < 1e90
+
 
 class TestEnergy:
     def test_formula_against_inline_computation(self):

@@ -387,6 +387,13 @@ class TestRateTable:
                 ExperimentConfig(d=4, seed=2),
             ])
 
+    def test_rejects_mixed_penalties(self):
+        with pytest.raises(ConfigError, match="one problem instance"):
+            rate_table([
+                ExperimentConfig(problem="lasso", d=4, lam=0.01),
+                ExperimentConfig(problem="lasso", d=4, lam=5.0),
+            ])
+
 
 class TestCli:
     def test_solve_and_exit_zero(self, tmp_path, capsys):
@@ -559,6 +566,17 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3  # header + two grid rows
+
+    @pytest.mark.parametrize("command", ["sweep", "rates"])
+    def test_table_exits_one_when_a_run_aborts(self, tmp_path, capsys, command):
+        # x0_scale = 1e160 overflows f(x0), so both grid runs abort at row 0
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("x0_scale = 1e160\n")
+        rc = _main_without_runtime_warnings(
+            [command, "--problem", "quadratic", "--d", "5", "--gamma", "1,2",
+             "--config", str(cfg), "-k", "50", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "0/0" in capsys.readouterr().out
 
     def test_ode_honours_certify_false(self, tmp_path, capsys):
         cfg = tmp_path / "flow.cfg"

@@ -4,13 +4,17 @@ Runs a fixed list of CLI commands, each into its own directory under a
 temporary directory, and prints one `sha256  name` line per CSV trace and
 per JSON summary. A summary is hashed without `wall_time_s`, `csv_path`
 and `json_path`, the only keys that change from one run to the next.
-Record the hashes before a refactor and check them after it:
+The listing starts with a `# numpy <version>` line, because the hashes
+depend on the numpy and BLAS build. `tools/golden.txt` is the committed
+listing; check a change against it, and regenerate it with a change that
+is meant to move bytes:
 
-    PYTHONPATH=src python3 tools/golden.py > golden.txt
-    PYTHONPATH=src python3 tools/golden.py --check golden.txt
+    PYTHONPATH=src python3 tools/golden.py --check tools/golden.txt
+    PYTHONPATH=src python3 tools/golden.py > tools/golden.txt
 
 With `--check FILE` the command prints the lines that differ from FILE and
-exits 1 on any mismatch, 0 when every line matches. It uses only the
+exits 1 on any mismatch, 0 when every line matches; lines of FILE that
+start with `#` are not compared. It uses numpy's version string, the
 standard library and momcert.
 """
 
@@ -24,6 +28,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from momcert.harness import main as momcert_main
 
@@ -91,9 +97,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="momcert-golden-") as tmp:
         lines = golden_lines(Path(tmp))
     if args.check is None:
-        print("\n".join(lines))
+        print("\n".join([f"# numpy {np.__version__}"] + lines))
         return 0
-    want = Path(args.check).read_text().splitlines()
+    want = [line for line in Path(args.check).read_text().splitlines()
+            if not line.startswith("#")]
     missing = [line for line in want if line not in lines]
     extra = [line for line in lines if line not in want]
     for line in missing:
