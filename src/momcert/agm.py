@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,8 +59,12 @@ __all__ = [
 class AgmState:
     """Iterate k of the recursion: x_k, y_k, v_k and the cached gradient.
 
-    x_norm_max is the largest ||x_j|| over j < k, the scale of the rounding
-    that the check between the two recursion forms allows.
+    x_norm_max is the largest ||x_j|| over j <= k, the scale of the rounding
+    that the check between the two recursion forms allows in step k -> k+1.
+    hg = h^2 grad f(x_k) and grad_sq = ||grad f(x_k)||^2 serve the row, the
+    energy and the step. agm_init and agm_step fill them in; a state built
+    by hand, or given a new grad_x, leaves them None, and they are then
+    computed where they are used.
     """
 
     k: int
@@ -68,6 +73,8 @@ class AgmState:
     v: np.ndarray
     grad_x: np.ndarray
     x_norm_max: float = 0.0
+    hg: Optional[np.ndarray] = None
+    grad_sq: Optional[float] = None
 
 
 def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmState:
@@ -85,28 +92,32 @@ def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmStat
     g0 = obj.grad(x0)
     v0 = -params.v0_coeff * h * g0
     x1 = x0 + h * v0
-    y1 = x0 - h * h * g0
+    hg = h * h * g0
+    y1 = x0 - hg
     ah = params.alpha * h
     y0 = y1 + (1.0 + ah) * (y1 - x1) + (params.gamma - (1.0 + ah)) * (y1 - x0)
-    return AgmState(k=0, x=x0, y=y0, v=v0, grad_x=g0)
+    return AgmState(k=0, x=x0, y=y0, v=v0, grad_x=g0, x_norm_max=math.sqrt(x0.dot(x0)),
+                    hg=hg, grad_sq=float(g0.dot(g0)))
 
 
 def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmState:
     h = params.h
     ah = params.alpha * h
-    y_next = state.x - h * h * state.grad_x
+    y_next = state.x - (h * h * state.grad_x if state.hg is None else state.hg)
     x_next = (
         y_next
         + (y_next - state.y) / (1.0 + ah)
         + (params.gamma / (1.0 + ah) - 1.0) * (y_next - state.x)
     )
-    if not np.isfinite(x_next).all():
+    # ||x||^2 is finite unless an entry is, or the squares of finite ones overflow
+    sq = x_next.dot(x_next)
+    if not (math.isfinite(sq) or np.isfinite(x_next).all()):
         raise DivergenceError(state.k + 1, "iterate is not finite")
     # The velocity recursion must reproduce the same point. Both forms carry
     # the rounding of every iterate so far, so the largest one sets the scale.
-    x_norm_max = max(state.x_norm_max, float(np.linalg.norm(state.x)))
-    drift = np.linalg.norm(x_next - (state.x + h * state.v))
-    if drift > 1e-12 * max(1.0, x_norm_max):
+    dv = x_next - (state.x + h * state.v)
+    drift = math.sqrt(dv.dot(dv))
+    if drift > 1e-12 * max(1.0, state.x_norm_max):
         raise RuntimeError(
             f"step {state.k + 1}: two-sequence and velocity forms disagree "
             f"by {drift:.3e}"
@@ -115,8 +126,10 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
     v_next = (
         state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
     ) / (1.0 + ah)
-    return AgmState(k=state.k + 1, x=x_next, y=y_next, v=v_next, grad_x=g_next,
-                    x_norm_max=x_norm_max)
+    # positional: a frozen dataclass pays per keyword on this per-step path
+    return AgmState(state.k + 1, x_next, y_next, v_next, g_next,
+                    max(state.x_norm_max, math.sqrt(sq)), h * h * g_next,
+                    float(g_next.dot(g_next)))
 
 
 def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
@@ -129,12 +142,13 @@ def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     h = params.h
     dx = state.x - xstar
     phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
-    sigma = dx - h * h * state.grad_x
-    gsq = float(state.grad_x @ state.grad_x)
+    hg = h * h * state.grad_x if state.hg is None else state.hg
+    gsq = float(state.grad_x.dot(state.grad_x)) if state.grad_sq is None else state.grad_sq
+    sigma = dx - hg
     psi = float(fx - fstar - 0.5 * h * h * gsq)
     return (
-        0.5 * float(phi @ phi)
-        - 0.5 * params.eta * float(sigma @ sigma)
+        0.5 * float(phi.dot(phi))
+        - 0.5 * params.eta * float(sigma.dot(sigma))
         + params.theta * psi
     )
 
@@ -145,13 +159,11 @@ def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray, certified: bo
     Per step: the gradient agm_step takes at x_{k+1}, and f at x_{k+1} and
     at the lookahead point y_{k+2}; f(x_k) also serves the energy.
     """
-    hh = params.h * params.h
     xstar, fstar = obj.minimizer, obj.min_value
     state = agm_init(obj, params, x0)
     while True:
         fx = obj.eval(state.x)
-        yield (fx, obj.eval(state.x - hh * state.grad_x),
-               float(np.linalg.norm(state.grad_x)),
+        yield (fx, obj.eval(state.x - state.hg), math.sqrt(state.grad_sq),
                agm_energy(state, fx, params, xstar, fstar) if certified else math.nan)
         state = agm_step(state, obj, params)
 

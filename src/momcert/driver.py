@@ -133,13 +133,14 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    pref, q = params.bound_prefactor, 1.0 + params.rho
     head = {
         **extra,
         "h": params.h,
         "A": params.A,
         "L": params.L,
         "rho_theory": params.rho,
-        "bound_prefactor": params.bound_prefactor,
+        "bound_prefactor": pref,
         "iters_requested": iters,
     }
     return run_trace(
@@ -147,6 +148,6 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
         lambda certified: rows(obj, params, x0, certified), iters + 1,
         columns=DISCRETE_COLUMNS, step=1, gap=gap, best_of=best_of,
         blowup=_BLOWUP_FACTOR, bound_column="theorem_bound",
-        bound=lambda gap0, k: params.bound_prefactor * gap0 / (1.0 + params.rho) ** k,
+        bound=lambda gap0, k: pref * gap0 / q ** k,
         head=head,
     )

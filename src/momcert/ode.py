@@ -130,7 +130,7 @@ def ode_energy(x, z, f, params: OdeParams, xstar, fstar: float) -> float:
     if isinstance(dx, float):
         pp, dd = phi * phi, dx * dx
     else:
-        pp, dd = float(np.dot(phi, phi)), float(np.dot(dx, dx))
+        pp, dd = float(phi.dot(phi)), float(dx.dot(dx))
     return 0.5 * pp - 0.5 * params.eta * dd + params.theta * float(f - fstar)
 
 

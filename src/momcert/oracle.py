@@ -159,10 +159,10 @@ def quadratic_problem(
     big_l = float(lam.max())
 
     def f(x: np.ndarray) -> float:
-        return float(0.5 * x @ (qmat @ x) - bvec @ x)
+        return float((0.5 * x).dot(qmat.dot(x)) - bvec.dot(x))
 
     def df(x: np.ndarray) -> np.ndarray:
-        return qmat @ x - bvec
+        return qmat.dot(x) - bvec
 
     return SmoothObjective(
         dimension=d,
@@ -244,11 +244,11 @@ def lasso_problem(a: np.ndarray, b: np.ndarray, lam: float) -> CompositeObjectiv
     big_l = float(sv[0] ** 2)
 
     def f(x: np.ndarray) -> float:
-        r = a @ x - b
-        return float(0.5 * r @ r)
+        r = a.dot(x) - b
+        return float((0.5 * r).dot(r))
 
     def df(x: np.ndarray) -> np.ndarray:
-        return a.T @ (a @ x - b)
+        return a.T.dot(a.dot(x) - b)
 
     smooth = SmoothObjective(
         dimension=a.shape[1],
@@ -297,7 +297,7 @@ def reference_minimizer(
     x = np.zeros(obj.smooth.dimension)
     for k in range(max_iter):
         g = grad_mapping(obj, x, s)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g.dot(g))
         if norm <= tol:
             return x, obj.total(x)
         if k == 0 and 0.0 < q < 1.0 and math.log(norm / tol) > -math.log1p(-q) * max_iter:

@@ -80,7 +80,8 @@ def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> Pgm
     y_next = state.x_curr + (state.x_curr - state.x_prev) / (1.0 + params.alpha * h)
     g = grad_mapping(obj, y_next, s)
     x_next = y_next - s * g
-    if not np.isfinite(x_next).all():
+    # ||x||^2 is finite unless an entry is, or the squares of finite ones overflow
+    if not (math.isfinite(x_next.dot(x_next)) or np.isfinite(x_next).all()):
         raise DivergenceError(state.k + 1, "iterate is not finite")
     return PgmState(
         k=state.k + 1,
@@ -98,8 +99,8 @@ def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndar
     dx = state.x_curr - xstar
     phi = state.v + params.xi * dx
     return (
-        0.5 * float(phi @ phi)
-        - 0.5 * params.eta * float(dx @ dx)
+        0.5 * float(phi.dot(phi))
+        - 0.5 * params.eta * float(dx.dot(dx))
         + params.theta * (f_curr - fstar)
     )
 
@@ -116,7 +117,7 @@ def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray,
     state = pgm_init(obj, params, x0)
     f_prev = f_curr = obj.total(state.x_curr)
     while True:
-        yield (f_prev, f_curr, float(np.linalg.norm(state.g)),
+        yield (f_prev, f_curr, math.sqrt(state.g.dot(state.g)),
                pgm_energy(state, f_curr, params, xstar, fstar) if certified else math.nan)
         state = pgm_step(state, obj, params)
         f_prev, f_curr = f_curr, obj.total(state.x_curr)

@@ -13,6 +13,7 @@ import pytest
 from momcert import (
     DISCRETE_COLUMNS,
     DivergenceError,
+    SmoothObjective,
     Trace,
     agm_energy,
     agm_init,
@@ -125,6 +126,25 @@ class TestStep:
         for _ in range(200):
             st = agm_step(st, obj, p)
         assert st.x_norm_max == 1e100 and abs(st.x[0]) < 1e90
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_finite_iterate_whose_square_overflows_does_not_abort(self, d):
+        # zero gradient from rest: x stays at 1e200 while ||x||^2 overflows
+        flat = SmoothObjective(dimension=d, eval=lambda x: 0.0,
+                               grad=lambda x: np.zeros(d), lipschitz=1.0)
+        p = agm_params_sc(1.0, 100.0, 1.0, 0.0)
+        with np.errstate(over="ignore"):
+            nxt = agm_step(agm_init(flat, p, np.full(d, 1e200)), flat, p)
+            assert nxt.x.dot(nxt.x) == np.inf
+        assert np.array_equal(nxt.x, np.full(d, 1e200))
+
+    def test_nan_iterate_raises_at_the_step_it_makes(self):
+        obj = quadratic_problem([1.0, 4.0], [1.0, 2.0])
+        p = agm_params_sc(1.0, 4.0, 1.5, 0.5)
+        st = agm_step(agm_init(obj, p, np.array([2.0, -1.0])), obj, p)
+        with pytest.raises(DivergenceError, match="not finite") as err:
+            agm_step(replace(st, x=np.array([np.nan, 1.0])), obj, p)
+        assert err.value.k == 2
 
 
 class TestEnergy:

@@ -15,6 +15,7 @@ from momcert import (
     AgmState,
     DivergenceError,
     ExperimentConfig,
+    SmoothObjective,
     Trace,
     agm_params_sc,
     agm_step,
@@ -191,6 +192,27 @@ class TestRun:
         p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, 0.0)
         with pytest.raises(ValueError):
             pgm_run(obj, p, np.zeros(6), 0)
+
+
+class TestStep:
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_finite_iterate_whose_square_overflows_does_not_abort(self, d):
+        # zero gradient from rest: x stays at 1e200 while ||x||^2 overflows
+        flat = composite_from_smooth(SmoothObjective(
+            dimension=d, eval=lambda x: 0.0, grad=lambda x: np.zeros(d), lipschitz=1.0))
+        p = pgm_params_sc(1.0, 100.0, 0.0)
+        with np.errstate(over="ignore"):
+            nxt = pgm_step(pgm_init(flat, p, np.full(d, 1e200)), flat, p)
+            assert nxt.x_curr.dot(nxt.x_curr) == np.inf
+        assert np.array_equal(nxt.x_curr, np.full(d, 1e200))
+
+    def test_nan_iterate_raises_at_the_step_it_makes(self):
+        obj = _lasso_instance()
+        p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, 0.0)
+        st = pgm_step(pgm_init(obj, p, np.full(6, 2.0)), obj, p)
+        with pytest.raises(DivergenceError, match="not finite") as err:
+            pgm_step(replace(st, x_curr=np.full(6, np.nan)), obj, p)
+        assert err.value.k == 2
 
 
 class TestProxDescent:

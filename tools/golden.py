@@ -37,7 +37,8 @@ from momcert.harness import main as momcert_main
 CONFIGS = {"nocert.cfg": "certify = false\n", "big.cfg": "x0_scale = 1e160\n"}
 
 # (name, argv): the pl_sine and flow runs first, then one sweep, one lasso
-# certify and one overflowing start point per solver.
+# certify, one overflowing start point per solver and one uncertified run per
+# discrete solver.
 COMMANDS = [
     ("ode-pl-sine", "ode --problem pl_sine --regime pl --seed 0"),
     ("ode-pl-sine-fine", "ode --problem pl_sine --regime pl --x0 2.0 --dt 0.001 --seed 1"),
@@ -59,6 +60,10 @@ COMMANDS = [
     ("solve-pl-sine-x0-1e160", "solve --problem pl_sine --regime pl --x0 1e160"),
     ("solve-lasso-x0-scale-1e160", "solve --config {dir}/big.cfg --problem lasso --d 5 -k 50"),
     ("ode-pl-sine-x0-1e160", "ode --problem pl_sine --regime pl --x0 1e160"),
+    ("solve-quadratic-nocert",
+     "solve --config {dir}/nocert.cfg --problem quadratic --d 20 -k 300 --seed 5"),
+    ("solve-lasso-nocert",
+     "solve --config {dir}/nocert.cfg --problem lasso --d 20 -k 300 --seed 5"),
 ]
 
 VOLATILE = ("wall_time_s", "csv_path", "json_path")
