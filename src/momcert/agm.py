@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,9 +61,8 @@ class AgmState:
     x_norm_max is the largest ||x_j|| over j <= k, the scale of the rounding
     that the check between the two recursion forms allows in step k -> k+1.
     hg = h^2 grad f(x_k) and grad_sq = ||grad f(x_k)||^2 serve the row, the
-    energy and the step. agm_init and agm_step fill them in; a state built
-    by hand, or given a new grad_x, leaves them None, and they are then
-    computed where they are used.
+    energy and the step; a state built by hand, or given a new grad_x,
+    must carry them for its grad_x.
     """
 
     k: int
@@ -72,9 +70,9 @@ class AgmState:
     y: np.ndarray
     v: np.ndarray
     grad_x: np.ndarray
+    hg: np.ndarray
+    grad_sq: float
     x_norm_max: float = 0.0
-    hg: Optional[np.ndarray] = None
-    grad_sq: Optional[float] = None
 
 
 def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmState:
@@ -96,14 +94,14 @@ def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmStat
     y1 = x0 - hg
     ah = params.alpha * h
     y0 = y1 + (1.0 + ah) * (y1 - x1) + (params.gamma - (1.0 + ah)) * (y1 - x0)
-    return AgmState(k=0, x=x0, y=y0, v=v0, grad_x=g0, x_norm_max=math.sqrt(x0.dot(x0)),
-                    hg=hg, grad_sq=float(g0.dot(g0)))
+    return AgmState(k=0, x=x0, y=y0, v=v0, grad_x=g0, hg=hg, grad_sq=float(g0.dot(g0)),
+                    x_norm_max=math.sqrt(x0.dot(x0)))
 
 
 def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmState:
     h = params.h
     ah = params.alpha * h
-    y_next = state.x - (h * h * state.grad_x if state.hg is None else state.hg)
+    y_next = state.x - state.hg
     x_next = (
         y_next
         + (y_next - state.y) / (1.0 + ah)
@@ -127,9 +125,8 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
         state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
     ) / (1.0 + ah)
     # positional: a frozen dataclass pays per keyword on this per-step path
-    return AgmState(state.k + 1, x_next, y_next, v_next, g_next,
-                    max(state.x_norm_max, math.sqrt(sq)), h * h * g_next,
-                    float(g_next.dot(g_next)))
+    return AgmState(state.k + 1, x_next, y_next, v_next, g_next, h * h * g_next,
+                    float(g_next.dot(g_next)), max(state.x_norm_max, math.sqrt(sq)))
 
 
 def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
@@ -142,10 +139,8 @@ def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     h = params.h
     dx = state.x - xstar
     phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
-    hg = h * h * state.grad_x if state.hg is None else state.hg
-    gsq = float(state.grad_x.dot(state.grad_x)) if state.grad_sq is None else state.grad_sq
-    sigma = dx - hg
-    psi = float(fx - fstar - 0.5 * h * h * gsq)
+    sigma = dx - state.hg
+    psi = float(fx - fstar - 0.5 * h * h * state.grad_sq)
     return (
         0.5 * float(phi.dot(phi))
         - 0.5 * params.eta * float(sigma.dot(sigma))

@@ -23,15 +23,14 @@ The certified energy is
 which decays like eps(t) <= eps(0) exp(-decay_rate t) for admissible
 bundles. Integration is classical fixed-step RK4; certificates allow for
 its O(dt^4) error through a stiffness-scaled per-step tolerance.
-`ode_energy(x, z, f(x), params, x*, f*)` evaluates eps, and `ode_run`'s
-samples call it.
+`rk4_step(x, z, dt, grad, c, k)` and `ode_energy(x, z, f(x), params, x*, f*)`
+are the per-step API, and `ode_run`'s samples call these same functions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,8 +42,6 @@ from .params import OdeParams
 from .trace import Trace
 
 __all__ = [
-    "OdeState",
-    "flow_vector_field",
     "rk4_step",
     "ode_energy",
     "ode_run",
@@ -53,13 +50,6 @@ __all__ = [
 ]
 
 ODE_COLUMNS = ("t", "f_gap", "energy", "envelope", "certificate_slack")
-
-
-@dataclass(frozen=True)
-class OdeState:
-    t: float
-    x: np.ndarray
-    z: np.ndarray
 
 
 # One kernel for both state types, so that there is one operation order:
@@ -82,42 +72,25 @@ def _all_finite(v) -> bool:
     return bool(np.isfinite(v).all())
 
 
-def _rk4(x, z, dt: float, grad, c, finite, k: int):
-    """Advance (x, z) by one RK4 step into sample k; raise if it goes non-finite."""
+def rk4_step(x, z, dt: float, grad, c, k: int):
+    """Advance (x, z) by one RK4 step of size dt into sample k.
+
+    grad is the objective's gradient on the state's type and c the
+    bundle's field coefficients (-beta, -alpha, alpha beta - gamma). A
+    non-finite result raises DivergenceError carrying k, the index of the
+    sample the step produces on the grid t = k dt.
+    """
     k1x, k1z = _field(x, z, grad, c)
     k2x, k2z = _field(x + 0.5 * dt * k1x, z + 0.5 * dt * k1z, grad, c)
     k3x, k3z = _field(x + 0.5 * dt * k2x, z + 0.5 * dt * k2z, grad, c)
     k4x, k4z = _field(x + dt * k3x, z + dt * k3z, grad, c)
     x = x + dt / 6.0 * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
     z = z + dt / 6.0 * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z)
+    finite = math.isfinite if type(x) is float else _all_finite
     # x + z is finite unless x or z is, or the sum of two finite ones overflows
     if not (finite(x + z) or (finite(x) and finite(z))):
         raise DivergenceError(k, f"state not finite at t = {k * dt:.6g}")
     return x, z
-
-
-def flow_vector_field(
-    state: OdeState, obj: SmoothObjective, params: OdeParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx, dz) of the first-order reformulation."""
-    return _field(np.asarray(state.x, dtype=float),
-                  np.asarray(state.z, dtype=float), obj.grad, _coefficients(params))
-
-
-def rk4_step(
-    state: OdeState, dt: float, obj: SmoothObjective, params: OdeParams
-) -> OdeState:
-    """One classical Runge-Kutta step of size dt > 0.
-
-    A non-finite result raises DivergenceError carrying the index of the
-    sample the step produces on the fixed grid t = k dt started at 0.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x, z = _rk4(np.asarray(state.x, dtype=float), np.asarray(state.z, dtype=float),
-                dt, obj.grad, _coefficients(params), _all_finite,
-                round(state.t / dt) + 1)
-    return OdeState(t=state.t + dt, x=x, z=z)
 
 
 def ode_energy(x, z, f, params: OdeParams, xstar, fstar: float) -> float:
@@ -152,12 +125,12 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     xstar, fstar = obj.minimizer, obj.min_value
     if obj.dimension == 1:
         feval, grad = on_floats(obj)
-        x, z, finite = float(x0[0]), 0.0, math.isfinite
+        x, z = float(x0[0]), 0.0
         if certified:
             xstar = float(xstar[0])
     else:
         grad, feval = obj.grad, obj.eval
-        x, z, finite = x0, np.zeros(x0.size), _all_finite
+        x, z = x0, np.zeros(x0.size)
     c = _coefficients(params)
     for k in itertools.count(1):
         f = feval(x)
@@ -166,7 +139,7 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
             summary["eps0"] = eps
             summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan
         yield f, eps
-        x, z = _rk4(x, z, dt, grad, c, finite, k)
+        x, z = rk4_step(x, z, dt, grad, c, k)
 
 
 def ode_run(
@@ -188,16 +161,17 @@ def ode_run(
     against the best value seen. The run ends at the first sampled
     objective value that is not finite (kept as the last row) or at a
     step that leaves the state non-finite, with aborted_at set to the
-    sample's index; an aborted run is not certified.
+    sample's index; an aborted run is not certified. A horizon or dt that
+    is not positive, NaN included, raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({obj.dimension},)")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if dt is None:
         dt = default_dt(obj, params)
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     steps = horizon / dt
     # an unbounded step count is left for the row limit to refuse

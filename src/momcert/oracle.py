@@ -3,9 +3,8 @@
 Everything downstream (solvers, energy certificates, rate fits) is judged
 against the objects built here, so this module keeps its own bookkeeping
 honest: minimizers are computed by direct linear algebra or by a plain
-proximal-gradient reference loop, gradients can be audited with central
-differences, and growth constants are estimated from scans rather than
-assumed.
+proximal-gradient reference loop, and growth constants are estimated from
+scans rather than assumed.
 
 Objectives are plain frozen dataclasses holding callables. Points are 1-d
 numpy arrays of float64, including one-dimensional problems; a 1-d
@@ -30,11 +29,8 @@ __all__ = [
     "lasso_problem",
     "reference_minimizer",
     "grad_mapping",
-    "finite_diff_gradient_check",
     "estimate_pl_constant",
     "soft_threshold",
-    "zero_prox",
-    "composite_from_smooth",
 ]
 
 
@@ -98,22 +94,6 @@ class CompositeObjective:
 def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     """Proximal map of t * ||.||_1, applied componentwise."""
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-
-def zero_prox() -> ProxTerm:
-    """The trivial prox term g = 0 (prox is the identity)."""
-    return ProxTerm(eval=lambda x: 0.0, prox=lambda z, s: z)
-
-
-def composite_from_smooth(obj: SmoothObjective) -> CompositeObjective:
-    """Wrap a smooth objective as a composite with g = 0."""
-    return CompositeObjective(
-        smooth=obj,
-        prox_term=zero_prox(),
-        minimizer=obj.minimizer,
-        min_value=obj.min_value,
-        qg_constant=obj.qg_constant,
-    )
 
 
 def _random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,29 +287,6 @@ def reference_minimizer(
         f"reference proximal gradient did not reach ||G|| <= {tol:g} "
         f"within {max_iter} iterations"
     )
-
-
-def finite_diff_gradient_check(
-    obj: SmoothObjective, points: Sequence[np.ndarray], eps: float = 1e-6
-) -> float:
-    """Worst relative gap between grad and a central finite difference.
-
-    Returns max over points of ||grad(x) - fd(x)|| / max(1, ||grad(x)||).
-    """
-    if not 1e-8 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps:g} outside [1e-8, 1e-4]")
-    worst = 0.0
-    for p in points:
-        x = np.asarray(p, dtype=float)
-        g = obj.grad(x)
-        fd = np.empty_like(g)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = eps
-            fd[i] = (obj.eval(x + e) - obj.eval(x - e)) / (2.0 * eps)
-        err = np.linalg.norm(g - fd) / max(1.0, float(np.linalg.norm(g)))
-        worst = max(worst, float(err))
-    return worst
 
 
 def estimate_pl_constant(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "pgm_step",
     "pgm_energy",
     "pgm_run",
-    "prox_descent_check",
 ]
 
 
@@ -142,35 +140,3 @@ def pgm_run(
     """
     return run_discrete("pgm", obj, params, x0, iters, certify, _rows, gap=1,
                         best_of=((0, 1), (0, 1)), extra={})
-
-
-def prox_descent_check(
-    obj: CompositeObjective,
-    y: np.ndarray,
-    x_ref: np.ndarray,
-    s: float,
-    mu: Optional[float] = None,
-) -> bool:
-    """Verify the descent inequality behind every proximal certificate.
-
-    Checks, with G = G_s(y) and u = y - s G,
-
-        F(u) <= F(x_ref) + <G, y - x_ref> - s ||G||^2 / 2
-                - mu ||y - x_ref||^2 / 2
-
-    up to 1e-10 * max(1, |F(x_ref)|). mu defaults to the strong convexity
-    constant of the smooth part; pass mu = 0 for the merely convex form.
-    """
-    if mu is None:
-        mu = obj.smooth.strong_convexity or 0.0
-    g = grad_mapping(obj, y, s)
-    u = y - s * g
-    dy = y - x_ref
-    lhs = obj.total(u)
-    rhs = (
-        obj.total(x_ref)
-        + float(g @ dy)
-        - 0.5 * s * float(g @ g)
-        - 0.5 * mu * float(dy @ dy)
-    )
-    return bool(lhs <= rhs + 1e-10 * max(1.0, abs(obj.total(x_ref))))

@@ -29,7 +29,6 @@ from momcert import (
     agm_params_sc,
     agm_run,
     agm_step,
-    finite_diff_gradient_check,
     fit_linear_rate,
     grad_mapping,
     lasso_problem,
@@ -42,11 +41,12 @@ from momcert import (
     pgm_params_sc,
     pgm_run,
     pl_sine_problem,
-    prox_descent_check,
     quadratic_problem,
     rk4_step,
-    OdeState,
 )
+from momcert.ode import _coefficients
+
+from _reference import finite_diff_gradient_check, prox_descent_check
 
 BIG_L = 100.0
 
@@ -406,12 +406,12 @@ def test_oracle_hygiene(capsys):
                            1.0 / math.sqrt(BIG_L), 0.0)
     horizon = 2.0
     ref = _expm_gap(small, params, small_x0, [horizon])[0]
-    errs = []
+    errs, c = [], _coefficients(params)
     for dt in (0.05, 0.025):
-        state = OdeState(t=0.0, x=small_x0, z=np.zeros(2))
-        for _ in range(round(horizon / dt)):
-            state = rk4_step(state, dt, small, params)
-        errs.append(abs((small.eval(state.x) - small.min_value) - ref))
+        x, z = small_x0, np.zeros(2)
+        for k in range(1, round(horizon / dt) + 1):
+            x, z = rk4_step(x, z, dt, small.grad, c, k)
+        errs.append(abs((small.eval(x) - small.min_value) - ref))
     order = math.log2(errs[0] / errs[1])
     order_ok = 3.7 <= order <= 4.3
 

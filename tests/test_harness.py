@@ -1,5 +1,6 @@
 """Harness: config handling, rate fitting, file output, CLI exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -272,6 +273,32 @@ class TestRunExperiment:
         monkeypatch.setenv("MOMCERT_OUT", str(tmp_path / "envout"))
         tr = run_experiment(ExperimentConfig(d=3, q=0.1, iters=40))
         assert str(tmp_path / "envout") in tr.summary["csv_path"]
+
+    @pytest.mark.parametrize("target, config", [
+        ("momcert.agm.agm_step", ExperimentConfig(d=3, q=0.1, iters=50)),
+        ("momcert.pgm.pgm_step", ExperimentConfig(problem="lasso", d=3, q=0.1, iters=50)),
+        ("momcert.ode.rk4_step", ExperimentConfig(solver="ode", d=3, q=0.1, horizon=2.0,
+                                                  dt=0.01)),
+        ("momcert.ode.rk4_step", ExperimentConfig(problem="pl_sine", solver="ode",
+                                                  regime="pl", horizon=2.0, dt=0.01)),
+    ], ids=["agm", "pgm", "ode", "ode-floats"])
+    def test_each_run_steps_through_its_public_kernel(self, monkeypatch, target, config):
+        # a run must look its step up as this module attribute on every step:
+        # that is the name a loop over the per-step API (or a profiler) patches
+        module, name = target.rsplit(".", 1)
+        kernel = getattr(importlib.import_module(module), name)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(target, counted)
+        tr = run_experiment(config, write=False)
+        assert tr.summary["aborted_at"] is None and tr.summary["certificates_failed"] == 0
+        assert calls[0] == tr.n_rows - 1
+        if tr.kind != "ode":
+            assert calls[0] == config.iters
 
     def test_exit_code_mapping(self):
         clean = _gap_trace([1.0, 0.5])

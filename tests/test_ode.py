@@ -14,14 +14,12 @@ from scipy.linalg import expm
 
 from momcert import (
     ODE_COLUMNS,
-    OdeState,
     Regime,
     SmoothObjective,
     Trace,
     certify_trace,
     default_dt,
     failed_checks,
-    flow_vector_field,
     ode_energy,
     ode_params_pl,
     ode_params_qg,
@@ -32,6 +30,7 @@ from momcert import (
     rk4_step,
 )
 from momcert.certificates import DivergenceError
+from momcert.ode import _coefficients, _field
 from momcert.params import OdeParams
 
 
@@ -64,7 +63,7 @@ class TestVectorField:
         obj = quadratic_problem([4.0], [0.0])
         p = ode_params_pl(2.0, beta=0.5, theta=1.5)
         assert p.alpha == 1.0 and p.gamma == 2.0
-        dx, dz = flow_vector_field(OdeState(0.0, np.array([1.0]), np.zeros(1)), obj, p)
+        dx, dz = _field(np.array([1.0]), np.zeros(1), obj.grad, _coefficients(p))
         np.testing.assert_allclose(dx, [-2.0])
         np.testing.assert_allclose(dz, [-6.0])
 
@@ -77,10 +76,10 @@ class TestVectorField:
             gamma=1.5, theta=1.0, omega=0.0, xi=1.0, eta=0.0,
             decay_rate=1.0, prefactor=2.0,
         )
-        st = OdeState(0.0, np.array([2.0]), np.array([-1.0]))
-        dx, dz = flow_vector_field(st, obj, p)
-        np.testing.assert_allclose(dx, st.z)
-        np.testing.assert_allclose(dz, -2.0 * st.z - 1.5 * obj.grad(st.x))
+        x, z = np.array([2.0]), np.array([-1.0])
+        dx, dz = _field(x, z, obj.grad, _coefficients(p))
+        np.testing.assert_allclose(dx, z)
+        np.testing.assert_allclose(dz, -2.0 * z - 1.5 * obj.grad(x))
 
 
 class TestRk4:
@@ -88,30 +87,24 @@ class TestRk4:
         flat = SmoothObjective(dimension=1, eval=lambda x: 0.0,
                                grad=lambda x: np.zeros(1), lipschitz=1.0)
         p = ode_params_pl(1.0, beta=0.5)
-        st = OdeState(0.0, np.array([1.5]), np.zeros(1))
-        nxt = rk4_step(st, 0.1, flat, p)
-        np.testing.assert_array_equal(nxt.x, st.x)
-        np.testing.assert_array_equal(nxt.z, st.z)
-        assert nxt.t == pytest.approx(0.1)
+        x, z = np.array([1.5]), np.zeros(1)
+        nx, nz = rk4_step(x, z, 0.1, flat.grad, _coefficients(p), 1)
+        np.testing.assert_array_equal(nx, x)
+        np.testing.assert_array_equal(nz, z)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 3, "float"])
     def test_finite_state_whose_sum_overflows_does_not_abort(self, d):
         # zero field and a tiny step: x and z barely move and stay finite,
-        # while x + z = 1.9e308 overflows
-        flat = SmoothObjective(dimension=d, eval=lambda x: 0.0,
-                               grad=lambda x: np.zeros(d), lipschitz=1.0)
+        # while x + z = 1.9e308 overflows; "float" is a d = 1 run's state
         p = ode_params_pl(1.0, beta=0.5)
-        st = OdeState(0.0, np.full(d, 1.7e308), np.full(d, 2e307))
+        if d == "float":
+            x, z, grad = 1.7e308, 2e307, lambda u: 0.0
+        else:
+            x, z, grad = np.full(d, 1.7e308), np.full(d, 2e307), lambda u: np.zeros(d)
         with np.errstate(over="ignore"):
-            nxt = rk4_step(st, 1e-300, flat, p)
-            assert not np.isfinite(nxt.x + nxt.z).any()
-        assert np.isfinite(nxt.x).all() and np.isfinite(nxt.z).all()
-
-    def test_rejects_nonpositive_dt(self):
-        obj = quadratic_problem([1.0], [0.0])
-        p = ode_params_pl(1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            rk4_step(OdeState(0.0, np.ones(1), np.zeros(1)), 0.0, obj, p)
+            x, z = rk4_step(x, z, 1e-300, grad, _coefficients(p), 1)
+            assert not np.isfinite(x + z).any()
+        assert np.isfinite(x).all() and np.isfinite(z).all()
 
     def test_fourth_order_against_exact_flow(self):
         obj = quadratic_problem([1.0, 4.0], [1.0, -1.0], seed=0)
@@ -119,22 +112,22 @@ class TestRk4:
         x0 = obj.minimizer + np.array([1.0, -2.0])
         x_exact, _ = _expm_orbit(obj, p, x0, 2.0)
 
-        errs = []
+        errs, c = [], _coefficients(p)
         for dt in (0.05, 0.025):
-            st = OdeState(0.0, x0, np.zeros(2))
-            for _ in range(round(2.0 / dt)):
-                st = rk4_step(st, dt, obj, p)
-            errs.append(np.linalg.norm(st.x - x_exact))
+            x, z = x0, np.zeros(2)
+            for k in range(1, round(2.0 / dt) + 1):
+                x, z = rk4_step(x, z, dt, obj.grad, c, k)
+            errs.append(np.linalg.norm(x - x_exact))
         order = math.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
 
     def test_divergence_detected_at_huge_step(self):
         obj = quadratic_problem([1.0, 400.0], [0.0, 0.0])
         p = ode_params_sc(1.0, alpha=2.0, beta=0.05, omega=0.0)
-        st = OdeState(0.0, np.array([1.0, 1.0]), np.zeros(2))
+        x, z, c = np.array([1.0, 1.0]), np.zeros(2), _coefficients(p)
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
-            for _ in range(400):
-                st = rk4_step(st, 1.0, obj, p)
+            for k in range(1, 401):
+                x, z = rk4_step(x, z, 1.0, obj.grad, c, k)
 
 
 def _blow_up_objective(good_steps):
@@ -157,11 +150,11 @@ class TestDivergenceIndex:
     def test_rk4_step_reports_the_sample_it_produces(self):
         obj = _blow_up_objective(good_steps=7)
         p = ode_params_pl(1.0, beta=0.5)
-        st = OdeState(0.0, np.array([1.0]), np.zeros(1))
-        for _ in range(7):
-            st = rk4_step(st, 0.25, obj, p)
+        x, z, c = np.array([1.0]), np.zeros(1), _coefficients(p)
+        for k in range(1, 8):
+            x, z = rk4_step(x, z, 0.25, obj.grad, c, k)
         with pytest.raises(DivergenceError) as info:
-            rk4_step(st, 0.25, obj, p)
+            rk4_step(x, z, 0.25, obj.grad, c, 8)
         assert info.value.k == 8
 
     def test_run_aborts_at_the_same_index(self):
@@ -277,6 +270,16 @@ class TestRun:
         with pytest.raises(ValueError):
             ode_run(obj, p, np.zeros(2), horizon=1.0, dt=-0.1)
 
+    @pytest.mark.parametrize("arg, value", [("dt", 0.0), ("dt", math.nan),
+                                            ("horizon", 0.0), ("horizon", math.nan)])
+    def test_rejects_nonpositive_dt_or_horizon(self, arg, value):
+        # NaN fails every comparison, so it must not slip past as "not <= 0"
+        obj = quadratic_problem([1.0], [0.0])
+        p = ode_params_pl(1.0, beta=1.0)
+        kwargs = {"horizon": 10.0, "dt": 0.1, arg: value}
+        with pytest.raises(ValueError, match=f"{arg} must be positive"):
+            ode_run(obj, p, np.ones(1), **kwargs)
+
 
 def _certified(eps, rate, dt, big_l=4.0, alpha=1.0, beta=0.5):
     """certify_trace on a flow trace with energy column eps at decay `rate`."""
@@ -364,17 +367,18 @@ class TestRunEquivalence:
         obj, p, x0, dt = self._case(name)
         tr = ode_run(obj, p, x0, horizon=2.0, dt=dt)
         assert tr.summary["dt"] == dt and tr.n_rows == 201
-        st = OdeState(0.0, x0, np.zeros(x0.size))
+        # on arrays, also for d = 1, whose run steps on Python floats
+        x, z, c = x0, np.zeros(x0.size), _coefficients(p)
         fs, gaps, eps = [], [], []
         for j in range(tr.n_rows):
             if j:
-                st = rk4_step(st, dt, obj, p)
+                x, z = rk4_step(x, z, dt, obj.grad, c, j)
             if obj.minimizer is None:
-                fs.append(obj.eval(st.x))
+                fs.append(obj.eval(x))
             else:
-                f = obj.eval(st.x)
+                f = obj.eval(x)
                 gaps.append(float(f - obj.min_value))
-                eps.append(ode_energy(st.x, st.z, f, p, obj.minimizer, obj.min_value))
+                eps.append(ode_energy(x, z, f, p, obj.minimizer, obj.min_value))
         t = np.arange(tr.n_rows) * dt
         assert tr.column("t").tobytes() == t.tobytes()
         if obj.minimizer is None:

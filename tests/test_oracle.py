@@ -18,9 +18,7 @@ from momcert import (
     CompositeObjective,
     ProxTerm,
     SmoothObjective,
-    composite_from_smooth,
     estimate_pl_constant,
-    finite_diff_gradient_check,
     grad_mapping,
     lasso_problem,
     pl_sine_problem,
@@ -29,6 +27,8 @@ from momcert import (
     soft_threshold,
 )
 from momcert.oracle import _sine_f, _sine_grad
+
+from _reference import composite_from_smooth, finite_diff_gradient_check
 
 # Frozen once from a dense scan of |f'|^2 / (2 f) for x^2 + 3 sin(x)^2
 # over [-20, 20] with 20001 points; a Brent refinement puts the continuum

@@ -20,7 +20,6 @@ from momcert import (
     agm_params_sc,
     agm_step,
     certify_trace,
-    composite_from_smooth,
     failed_checks,
     grad_mapping,
     lasso_problem,
@@ -31,10 +30,11 @@ from momcert import (
     pgm_params_sc,
     pgm_run,
     pgm_step,
-    prox_descent_check,
     quadratic_problem,
 )
 from momcert.harness import build_params, build_problem
+
+from _reference import composite_from_smooth, prox_descent_check
 
 
 def _lasso_instance(seed=12, rows=20, cols=6, lam=2.0):
@@ -93,8 +93,8 @@ class TestThreeWayEquivalence:
         # the smooth y-sequence, the proximal extrapolation points track
         # the smooth x-iterates one index back.
         g0 = quad.grad(x0)
-        agm_state = AgmState(k=0, x=x0, y=x0.copy(),
-                             v=-(1.0 + tau) * h * g0, grad_x=g0)
+        agm_state = AgmState(k=0, x=x0, y=x0.copy(), v=-(1.0 + tau) * h * g0,
+                             grad_x=g0, hg=h * h * g0, grad_sq=float(g0.dot(g0)))
         y_prev, y_curr = x0, x0
 
         for _ in range(100):
