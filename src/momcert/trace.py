@@ -10,6 +10,9 @@ same seeded configuration produce identical files.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,18 +47,56 @@ class Trace:
         return self.data[:, j]
 
     def write_csv(self, path) -> None:
+        # Parts of >= 4,096 rows, one per usable core: forked children write
+        # parts 1.. to temp files while the parent writes part 0, then appends
+        # them in order. Python >= 3.12 warns on fork in a threaded process; it
+        # is safe: the child calls no BLAS, imports nothing, ends in os._exit.
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            # blocks of rows bound the memory held by Python floats
-            for start in range(0, self.n_rows, 256):
-                block = self.data[start:start + 256].tolist()
-                fh.write("".join(row % tuple(r) for r in block))
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        n_parts = max(1, min(cores, self.n_rows // 4096))
+        cuts = [self.n_rows * i // n_parts for i in range(n_parts + 1)]
+        pids, temps = [], []
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                fd, temp = tempfile.mkstemp(".part", dir=os.path.dirname(os.path.abspath(path)))
+                temps.append(temp)
+                if (pid := os.fork()) == 0:
+                    try:
+                        with os.fdopen(fd, "w") as fh:
+                            self._write_rows(fh, row, lo, hi)
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                os.close(fd)
+                pids.append(pid)
+            with open(path, "w") as fh:  # after the forks: no child holds its buffer
+                fh.write(",".join(self.columns) + "\n")
+                self._write_rows(fh, row, 0, cuts[1])
+                if _reap(pids):
+                    raise OSError(f"a child process writing part of {path} failed")
+                for temp in temps:
+                    with open(temp) as part:
+                        shutil.copyfileobj(part, fh)
+        finally:
+            _reap(pids)
+            for temp in temps:
+                os.remove(temp)
+
+    def _write_rows(self, fh, row: str, lo: int, hi: int) -> None:
+        # blocks of rows bound the memory held by Python floats
+        for start in range(lo, hi, 256):
+            block = self.data[start:min(start + 256, hi)].tolist()
+            fh.write("".join(row % tuple(r) for r in block))
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(_clean(self.summary), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _reap(pids: list) -> bool:
+    """Wait for every pid, emptying the list; True if any exited non-zero."""
+    return any([os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))])
 
 
 def _clean(v):

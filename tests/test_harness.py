@@ -106,14 +106,52 @@ class TestTraceIo:
         assert ta.summary["csv_path"] == str(fa)
         assert tb.n_rows == 41
 
-    def test_csv_rows_match_per_value_formatting(self, tmp_path):
-        data = np.array([[0.0, -0.0, np.nan],
-                         [np.inf, -np.inf, 1e-310],
-                         [0.1, 2.0 / 3.0, -1e300]])
+    @staticmethod
+    def _assert_csv_matches(tmp_path, data):
         Trace(kind="ode", columns=("a", "b", "c"), data=data).write_csv(tmp_path / "t.csv")
         ref = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                   for row in data)
         assert (tmp_path / "t.csv").read_text() == ref
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no part left
+        with pytest.raises(ChildProcessError):  # no part writer left
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_csv_rows_match_per_value_formatting(self, tmp_path, monkeypatch):
+        self._assert_csv_matches(tmp_path, np.array([[0.0, -0.0, np.nan],
+                                                     [np.inf, -np.inf, 1e-310],
+                                                     [0.1, 2.0 / 3.0, -1e300]]))
+        # row counts on both sides of the 4,096-row part minimum, split in
+        # two and three parts whatever this machine's core count
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 0.1]
+        for cores in (2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            for n in (1, 4095, 8191, 8192, 8193, 3 * 4096 + 17):
+                data = np.random.default_rng(n).standard_normal((n, 3))
+                data.flat[::5] = np.resize(values, data.flat[::5].size)
+                self._assert_csv_matches(tmp_path, data)
+
+    def test_csv_without_affinity_is_one_serial_part(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        self._assert_csv_matches(tmp_path, np.arange(3 * 9000.0).reshape(-1, 3))
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_csv_part_failure_reaps_and_cleans_up(self, tmp_path, monkeypatch, failing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        write_rows = Trace._write_rows
+
+        def flaky(self, fh, row, lo, hi):
+            if (lo > 0) == (failing == "child"):
+                raise RuntimeError("formatting failed")
+            write_rows(self, fh, row, lo, hi)
+
+        monkeypatch.setattr(Trace, "_write_rows", flaky)
+        trace = Trace(kind="ode", columns=("a",), data=np.zeros((3 * 4096, 1)))
+        with pytest.raises(OSError if failing == "child" else RuntimeError):
+            trace.write_csv(tmp_path / "t.csv")
+        assert not list(tmp_path.glob("*.part"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_json_summary_is_strict(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", d=3, q=0.1, iters=30,

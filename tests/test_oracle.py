@@ -133,14 +133,19 @@ class TestSineOnFloats:
         assert obj.takes_floats and replace(obj, min_value=None).takes_floats
         assert not quadratic_problem([1.0], [0.0]).takes_floats
 
-    # signed zeros, subnormals, u ** 2 past the range, 2 u past the range,
-    # sin of an infinity, and nan always run
+    # signed zeros, subnormals, both sides of the float fast path's 1e154
+    # guard, u ** 2 past the range, 2 u past the range, sin of an infinity,
+    # and nan always run
     @settings(max_examples=200, deadline=None)
     @given(st.floats())
     @example(0.0)
     @example(-0.0)
     @example(5e-324)
     @example(-2.5e-310)
+    @example(1e154)
+    @example(-1e154)
+    @example(math.nextafter(1e154, 0))
+    @example(-math.nextafter(1e154, 0))
     @example(1e155)
     @example(-1e155)
     @example(1.7e308)
