@@ -163,21 +163,17 @@ def quadratic_problem(
 
 
 def _sine_f(x) -> float:
-    if type(x) is float and -1e154 < x < 1e154:  # the flow's per-sample path
-        return x ** 2 + 3.0 * math.sin(x) ** 2
-    u = float(x[0]) if isinstance(x, np.ndarray) else x
-    if abs(u) < 1e154:
+    u = x if type(x) is float else float(x[0]) if isinstance(x, np.ndarray) else x
+    if -1e154 < u < 1e154:
         return u ** 2 + 3.0 * math.sin(u) ** 2
     return float(np.float64(u) ** 2 + 3.0 * np.sin(u) ** 2)
 
 
 def _sine_grad(x):
-    if type(x) is float and -1e154 < x < 1e154:
-        return 2.0 * x + 3.0 * math.sin(2.0 * x)
-    u = float(x[0]) if isinstance(x, np.ndarray) else x
-    g = (2.0 * u + 3.0 * math.sin(2.0 * u) if abs(u) < 1e154
+    u = x if type(x) is float else float(x[0]) if isinstance(x, np.ndarray) else x
+    g = (2.0 * u + 3.0 * math.sin(2.0 * u) if -1e154 < u < 1e154
          else float(2.0 * np.float64(u) + 3.0 * np.sin(2.0 * u)))
-    return np.array([g]) if isinstance(x, np.ndarray) else g
+    return g if u is x else np.array([g])  # u is x unless x is an array
 
 
 def pl_sine_problem() -> SmoothObjective:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,56 +46,58 @@ class Trace:
         return self.data[:, j]
 
     def write_csv(self, path) -> None:
-        # Parts of >= 4,096 rows, one per usable core: forked children write
-        # parts 1.. to temp files while the parent writes part 0, then appends
-        # them in order. Python >= 3.12 warns on fork in a threaded process; it
-        # is safe: the child calls no BLAS, imports nothing, ends in os._exit.
+        # Parts of >= 4,096 rows, one per usable core: forked children send
+        # parts 1.. through pipes, copied in order after the parent's part 0.
+        # Python >= 3.12 warns on fork in a threaded process; it is safe: the
+        # child calls no BLAS, imports nothing and ends in os._exit.
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         n_parts = max(1, min(cores, self.n_rows // 4096))
         cuts = [self.n_rows * i // n_parts for i in range(n_parts + 1)]
-        pids, temps = [], []
+        pids, parts = [], []  # parts: the read ends of the pipes, in row order
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                fd, temp = tempfile.mkstemp(".part", dir=os.path.dirname(os.path.abspath(path)))
-                temps.append(temp)
-                if (pid := os.fork()) == 0:
-                    try:
-                        with os.fdopen(fd, "w") as fh:
-                            self._write_rows(fh, row, lo, hi)
-                    except BaseException:
-                        os._exit(1)
-                    os._exit(0)
-                os.close(fd)
+                r, w = os.pipe()
+                parts.append(open(r))
+                try:
+                    if (pid := os.fork()) == 0:
+                        self._send_part(parts, w, row, lo, hi)
+                finally:
+                    os.close(w)
                 pids.append(pid)
             with open(path, "w") as fh:  # after the forks: no child holds its buffer
                 fh.write(",".join(self.columns) + "\n")
-                self._write_rows(fh, row, 0, cuts[1])
-                if _reap(pids):
-                    raise OSError(f"a child process writing part of {path} failed")
-                for temp in temps:
-                    with open(temp) as part:
-                        shutil.copyfileobj(part, fh)
+                fh.writelines(self._blocks(row, 0, cuts[1]))
+                for part in parts:
+                    shutil.copyfileobj(part, fh)
         finally:
-            _reap(pids)
-            for temp in temps:
-                os.remove(temp)
+            for part in parts:  # a child blocked on a closed pipe fails and exits
+                part.close()
+            failed = any([os.waitpid(pid, 0)[1] for pid in pids])
+        if failed:
+            raise OSError(f"a child process formatting part of {path} failed")
 
-    def _write_rows(self, fh, row: str, lo: int, hi: int) -> None:
+    def _send_part(self, parts, w: int, row: str, lo: int, hi: int) -> None:
+        """In a forked child: write rows lo:hi to pipe end w, then exit."""
+        try:
+            for part in parts:  # so the parent closing its ends stops a blocked write
+                part.close()
+            with open(w, "w") as fh:  # format all first: a pipe holds 64 KiB
+                fh.write("".join(self._blocks(row, lo, hi)))
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+
+    def _blocks(self, row: str, lo: int, hi: int):
         # blocks of rows bound the memory held by Python floats
         for start in range(lo, hi, 256):
             block = self.data[start:min(start + 256, hi)].tolist()
-            fh.write("".join(row % tuple(r) for r in block))
+            yield "".join(row % tuple(r) for r in block)
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(_clean(self.summary), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _reap(pids: list) -> bool:
-    """Wait for every pid, emptying the list; True if any exited non-zero."""
-    return any([os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))])
 
 
 def _clean(v):

@@ -107,8 +107,9 @@ class TestTraceIo:
         assert tb.n_rows == 41
 
     @staticmethod
-    def _assert_csv_matches(tmp_path, data):
-        Trace(kind="ode", columns=("a", "b", "c"), data=data).write_csv(tmp_path / "t.csv")
+    def _assert_csv_matches(tmp_path, data, path=None):
+        trace = Trace(kind="ode", columns=("a", "b", "c"), data=data)
+        trace.write_csv(path or tmp_path / "t.csv")
         ref = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                   for row in data)
         assert (tmp_path / "t.csv").read_text() == ref
@@ -135,21 +136,32 @@ class TestTraceIo:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         self._assert_csv_matches(tmp_path, np.arange(3 * 9000.0).reshape(-1, 3))
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_csv_needs_no_access_to_its_directory(self, tmp_path, monkeypatch):
+        # no file can be made in /dev/fd, even by root; the path reopens t.csv
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fd = os.open(tmp_path / "t.csv", os.O_WRONLY | os.O_CREAT)
+        try:
+            self._assert_csv_matches(tmp_path, np.full((3 * 4096, 3), 0.1), f"/dev/fd/{fd}")
+        finally:
+            os.close(fd)
+
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_csv_part_failure_reaps_and_cleans_up(self, tmp_path, monkeypatch, failing):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        write_rows = Trace._write_rows
+        blocks = Trace._blocks
 
-        def flaky(self, fh, row, lo, hi):
+        def flaky(self, row, lo, hi):
             if (lo > 0) == (failing == "child"):
                 raise RuntimeError("formatting failed")
-            write_rows(self, fh, row, lo, hi)
+            return blocks(self, row, lo, hi)
 
-        monkeypatch.setattr(Trace, "_write_rows", flaky)
-        trace = Trace(kind="ode", columns=("a",), data=np.zeros((3 * 4096, 1)))
+        monkeypatch.setattr(Trace, "_blocks", flaky)
+        # 80 KB a part, more than a pipe holds: a child blocks until read
+        trace = Trace(kind="ode", columns=("a",), data=np.full((3 * 4096, 1), 0.1))
         with pytest.raises(OSError if failing == "child" else RuntimeError):
             trace.write_csv(tmp_path / "t.csv")
-        assert not list(tmp_path.glob("*.part"))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
