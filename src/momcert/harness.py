@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -49,6 +50,7 @@ from .params import (
 )
 from .certificates import failed_checks
 from .driver import RowLimitError
+from .parallel import forked, usable_cores
 from .trace import Trace
 
 __all__ = [
@@ -354,15 +356,17 @@ def _default_basename(config: ExperimentConfig) -> str:
     return "_".join(parts)
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> Trace:
+def run_experiment(config: ExperimentConfig, write: bool = True,
+                   built: Optional[tuple] = None) -> Trace:
     """Validate, build, run, fit, and (optionally) write csv + json.
 
     The returned trace's summary carries the fitted empirical rate next
     to the certified one, certificate counts, and the output paths.
+    `built`, the config's (objective, start point, bundle), skips building.
     """
     config = replace(config).validated()
-    obj, x0 = build_problem(config)
-    bundle = build_params(config, obj)
+    obj, x0 = built[:2] if built else build_problem(config)
+    bundle = built[2] if built else build_params(config, obj)
     solver = config.resolved_solver()
 
     if solver == "agm":
@@ -424,43 +428,64 @@ def rate_table(
     """Run each configuration and tabulate certified vs fitted rates.
 
     All configs must target the same problem instance (same problem key,
-    size, penalty and seed) so the rows are comparable. Rows are sorted by
-    (regime, gamma, omega), count certificates_passed of
-    certificates_checked, and carry the run's exit_code.
+    size, penalty, seed and start) so the rows are comparable. Each is
+    built before the first run; members i, i + n, ... then run in process
+    i of n, one per usable core, with the rows and files of a serial run.
+    Rows are sorted by (regime, gamma, omega), count certificates_passed
+    of certificates_checked, and carry the run's exit_code.
     """
     if not configs:
         raise ConfigError("rate_table needs at least one configuration")
-    keys = [(c.problem, c.d, c.q, c.L, c.lam, c.seed) for c in configs]
-    for key in keys:
-        if key != keys[0]:
-            raise ConfigError(
-                f"rate_table configs must share one problem instance; {key} != {keys[0]}"
-            )
-    rows = []
-    for c in configs:
-        trace = run_experiment(c, write=write_traces)
-        s = trace.summary
-        index, gap, rate = _certified_columns(trace)
-        gaps, idx = trace.column(gap), trace.column(index)
-        tol_hit = ""
-        if np.isfinite(gaps[0]) and gaps[0] > 0:
-            hit = np.nonzero(gaps <= 1e-9 * gaps[0])[0]
-            if hit.size:
-                tol_hit = f"{idx[hit[0]]:g}"
-        rows.append({
-            "regime": s["regime"],
-            "gamma": s.get("gamma", float("nan")),
-            "omega": s["omega"],
-            "rho_theory": s[rate],
-            "rho_emp": s["fitted_rate"],
-            "iters_to_1e-9": tol_hit,
-            "certificates_passed": s["certificates_checked"] - s["certificates_failed"],
-            "certificates_checked": s["certificates_checked"],
-            "exit_code": exit_code_for(trace),
-        })
+    configs = [replace(c).validated() for c in configs]
+    keys = [(c.problem, c.d, c.q, c.L, c.lam, c.seed, c.x0, c.x0_scale) for c in configs]
+    if len(set(keys)) > 1:
+        raise ConfigError(f"rate_table configs must share one problem instance; "
+                          f"{next(k for k in keys if k != keys[0])} != {keys[0]}")
+    obj, x0 = build_problem(configs[0])
+    members = [(c, (obj, x0, build_params(c, obj))) for c in configs]
+    n = min(usable_cores(), len(members))
+
+    def share(i: int) -> list:  # row of members i, i + n, ..., or their exception
+        rows = []
+        for c, built in members[i::n]:
+            try:
+                rows.append(_table_row(run_experiment(c, write_traces, built)))
+            except Exception as err:
+                rows.append(err)
+        return rows
+
+    with forked(n, lambda i: pickle.dumps(share(i))) as ends:
+        shares = [share(0)]
+        sent = [end.read() for end in ends]
+    shares += [pickle.loads(data) for data in sent]  # once every worker exited 0
+    rows = [shares[j % n][j // n] for j in range(len(members))]
+    if errors := [row for row in rows if isinstance(row, Exception)]:
+        raise errors[0]  # the first in config order
     # pgm has no gamma: its NaN compares false both ways, so rank it as 0
     rows.sort(key=lambda r: (r["regime"], np.nan_to_num(r["gamma"]), r["omega"]))
     return rows
+
+
+def _table_row(trace: Trace) -> dict:
+    s = trace.summary
+    index, gap, rate = _certified_columns(trace)
+    gaps, idx = trace.column(gap), trace.column(index)
+    tol_hit = ""
+    if np.isfinite(gaps[0]) and gaps[0] > 0:
+        hit = np.nonzero(gaps <= 1e-9 * gaps[0])[0]
+        if hit.size:
+            tol_hit = f"{idx[hit[0]]:g}"
+    return {
+        "regime": s["regime"],
+        "gamma": s.get("gamma", float("nan")),
+        "omega": s["omega"],
+        "rho_theory": s[rate],
+        "rho_emp": s["fitted_rate"],
+        "iters_to_1e-9": tol_hit,
+        "certificates_passed": s["certificates_checked"] - s["certificates_failed"],
+        "certificates_checked": s["certificates_checked"],
+        "exit_code": exit_code_for(trace),
+    }
 
 
 _TABLE_COLS = (

@@ -10,12 +10,13 @@ same seeded configuration produce identical files.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from .parallel import forked, usable_cores
 
 __all__ = ["Trace"]
 
@@ -46,47 +47,18 @@ class Trace:
         return self.data[:, j]
 
     def write_csv(self, path) -> None:
-        # Parts of >= 4,096 rows, one per usable core: forked children send
-        # parts 1.. through pipes, copied in order after the parent's part 0.
-        # Python >= 3.12 warns on fork in a threaded process; it is safe: the
-        # child calls no BLAS, imports nothing and ends in os._exit.
+        # Parts of >= 4,096 rows, one per usable core: forked children format
+        # parts 1.., copied in order after the parent's part 0.
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        n_parts = max(1, min(cores, self.n_rows // 4096))
+        n_parts = max(1, min(usable_cores(), self.n_rows // 4096))
         cuts = [self.n_rows * i // n_parts for i in range(n_parts + 1)]
-        pids, parts = [], []  # parts: the read ends of the pipes, in row order
-        try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                r, w = os.pipe()
-                parts.append(open(r))
-                try:
-                    if (pid := os.fork()) == 0:
-                        self._send_part(parts, w, row, lo, hi)
-                finally:
-                    os.close(w)
-                pids.append(pid)
-            with open(path, "w") as fh:  # after the forks: no child holds its buffer
-                fh.write(",".join(self.columns) + "\n")
-                fh.writelines(self._blocks(row, 0, cuts[1]))
+        with forked(n_parts, lambda i: "".join(
+                self._blocks(row, cuts[i], cuts[i + 1])).encode()) as parts:
+            with open(path, "wb") as fh:  # after the forks: no child holds its buffer
+                fh.write((",".join(self.columns) + "\n").encode())
+                fh.writelines(b.encode() for b in self._blocks(row, 0, cuts[1]))
                 for part in parts:
                     shutil.copyfileobj(part, fh)
-        finally:
-            for part in parts:  # a child blocked on a closed pipe fails and exits
-                part.close()
-            failed = any([os.waitpid(pid, 0)[1] for pid in pids])
-        if failed:
-            raise OSError(f"a child process formatting part of {path} failed")
-
-    def _send_part(self, parts, w: int, row: str, lo: int, hi: int) -> None:
-        """In a forked child: write rows lo:hi to pipe end w, then exit."""
-        try:
-            for part in parts:  # so the parent closing its ends stops a blocked write
-                part.close()
-            with open(w, "w") as fh:  # format all first: a pipe holds 64 KiB
-                fh.write("".join(self._blocks(row, lo, hi)))
-        except BaseException:
-            os._exit(1)
-        os._exit(0)
 
     def _blocks(self, row: str, lo: int, hi: int):
         # blocks of rows bound the memory held by Python floats

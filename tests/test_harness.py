@@ -4,7 +4,9 @@ import importlib
 import json
 import math
 import os
+import re
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -472,6 +474,103 @@ class TestRateTable:
             ])
 
 
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelRateTable:
+    """Members split over forked workers give the rows and files of a serial run."""
+
+    BASE = dict(problem="quadratic", d=4, q=0.1, iters=120, seed=2)
+
+    def _sweep(self, tmp_path, monkeypatch, cores):
+        _cores(monkeypatch, cores)
+        out = tmp_path / "out"  # one path for all: the summaries name it
+        assert main(["sweep", "--problem", "quadratic", "--d", "4", "--q", "0.1",
+                     "-k", "120", "--seed", "2", "--gamma", "1,1.5,2",
+                     "--omega", "0,0.5,1", "--quiet", "--out", str(out)]) == 0
+        _assert_no_child_left()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        for name in [n for n in files if n.endswith(".json")]:  # all but the clock
+            files[name] = re.sub(rb'"wall_time_s": [^\n]*', b"", files[name])
+        shutil.rmtree(out)
+        return files
+
+    @pytest.mark.parametrize("cores", [2, 3, 16])
+    def test_sweep_files_match_a_serial_sweep(self, tmp_path, monkeypatch, cores):
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(os, "fork", lambda: pytest.fail("forked"))
+            serial = self._sweep(tmp_path, monkeypatch, 1)
+        assert len(serial) == 2 * 9 + 1  # csv and json per member, the rate table
+        assert self._sweep(tmp_path, monkeypatch, cores) == serial
+
+    @pytest.mark.parametrize("cores", [2, 3, 16])
+    def test_rows_match_serial_rows_in_config_order_on_ties(self, monkeypatch, cores):
+        # members 2, 3 and 4 tie on (regime, gamma, omega): a repeated config
+        # and a shorter run; two or three shares take them out of order
+        tie = ExperimentConfig(gamma=2.0, omega=1.0, **self.BASE)
+        configs = [replace(tie, omega=0.0), replace(tie, gamma=1.0), tie, tie,
+                   replace(tie, iters=60), replace(tie, gamma=1.0, omega=0.0)]
+        _cores(monkeypatch, 1)
+        serial = rate_table(configs)
+        _cores(monkeypatch, cores)
+        rows = rate_table(configs)
+        _assert_no_child_left()
+        assert rows == serial
+        assert [r["certificates_checked"] for r in rows
+                if (r["gamma"], r["omega"]) == (2.0, 1.0)] == [120, 120, 60]
+
+    def test_failed_worker_raises_oserror(self, monkeypatch):
+        _cores(monkeypatch, 3)
+        parent, run = os.getpid(), momcert.harness.run_experiment
+
+        def die_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args)
+
+        monkeypatch.setattr(momcert.harness, "run_experiment", die_in_a_worker)
+        with pytest.raises(OSError):
+            rate_table([ExperimentConfig(omega=w, **self.BASE) for w in (0.0, 0.5, 1.0)])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_member_exception_reraises_the_first_in_config_order(self, monkeypatch,
+                                                                 cores):
+        # members 1 and 2 raise; with two cores member 1 is the worker's and
+        # member 2 the parent's own, yet member 1's exception is the one raised
+        _cores(monkeypatch, cores)
+        run = momcert.harness.run_experiment
+
+        def flaky(config, *args):
+            if config.omega in (0.25, 0.5):
+                raise ZeroDivisionError(f"member at omega {config.omega}")
+            return run(config, *args)
+
+        monkeypatch.setattr(momcert.harness, "run_experiment", flaky)
+        with pytest.raises(ZeroDivisionError, match="^member at omega 0.25$"):
+            rate_table([ExperimentConfig(omega=w, **self.BASE)
+                        for w in (0.0, 0.25, 0.5, 0.75)])
+        _assert_no_child_left()
+
+    def test_benchmark_smoke_sweep_counts_the_parents_steps(self):
+        run_py = Path(momcert.__file__).parents[2] / "bench" / "run.py"
+        proc = subprocess.run(
+            [sys.executable, str(run_py), "--workload", "sweep_quadratic", "--smoke",
+             "--seed", "2", "--seconds", "0", "--trace", "0"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] and result["failed"] == 0
+        assert result["metrics"]["solve_steps_per_s"]["value"] > 0
+
+
 class TestCli:
     def test_solve_and_exit_zero(self, tmp_path, capsys):
         rc = main(["solve", "--problem", "quadratic", "--d", "4", "--q", "0.1",
@@ -579,10 +678,14 @@ class TestCli:
         ["sweep", "--problem", "lasso", "--d", "6", "-k", "100", "--gamma", "1,2",
          "--omega", "1,0"],
         ["rates", "--regime", "pl", "--gamma", "1,2", "--d", "4", "--q", "0.1"],
+        # an inadmissible grid point after an admissible one: no trace written
+        ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--gamma", "1,9",
+         "--omega", "0"],
+        ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--omega", "0,7"],
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
-            "pl-gamma-grid"])
+            "pl-gamma-grid", "inadmissible-gamma-grid", "inadmissible-omega-grid"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         inputs, out = tmp_path / "inputs", tmp_path / "out"
         inputs.mkdir()
