@@ -251,48 +251,34 @@ def build_params(config: ExperimentConfig, obj) -> Union[
 ]:
     """Build the parameter bundle for the resolved solver and regime.
 
-    Theorem-level inequality violations raised by the bundle constructors
-    surface as ConfigError with the offending inequality in the message.
+    A constructor's refusal (a theorem-level inequality, or constants that
+    overflow) surfaces as ConfigError with the constructor's message.
     """
     solver = config.resolved_solver()
+    composite = isinstance(obj, CompositeObjective)
+    if (solver == "pgm") != composite:
+        raise ConfigError(f"solver {solver!r} needs a "
+                          f"{'composite' if composite else 'smooth'} objective")
     regime = Regime(config.regime)
-    smooth = obj.smooth if isinstance(obj, CompositeObjective) else obj
-    mu = _regime_mu(obj, regime, smooth)
-    big_l = smooth.lipschitz
+    smooth = obj.smooth if composite else obj
+    mu, big_l = _regime_mu(obj, regime, smooth), smooth.lipschitz
+    pl, sc = regime is Regime.POLYAK_LOJASIEWICZ, regime is Regime.STRONGLY_CONVEX
     try:
         if solver == "agm":
-            if isinstance(obj, CompositeObjective):
-                raise ConfigError("solver 'agm' handles smooth objectives only")
-            if regime is Regime.STRONGLY_CONVEX:
-                return agm_params_sc(mu, big_l, config.gamma, config.omega, config.alpha)
-            if regime is Regime.QUADRATIC_GROWTH:
-                return agm_params_qg(mu, big_l, config.gamma, config.omega, config.alpha)
-            return agm_params_pl(mu, big_l)
-        if solver == "pgm":
-            if not isinstance(obj, CompositeObjective):
-                raise ConfigError("solver 'pgm' expects a composite objective")
-            if regime is Regime.STRONGLY_CONVEX:
-                return pgm_params_sc(mu, big_l, config.omega, config.alpha)
-            if regime is Regime.QUADRATIC_GROWTH:
-                return pgm_params_qg(mu, big_l, config.omega, config.alpha)
-            raise ConfigError(
-                "no gradient-domination bundle exists for the proximal solver"
-            )
-        # flow
-        if isinstance(obj, CompositeObjective):
-            raise ConfigError("the flow integrates smooth objectives only")
+            if pl:
+                return agm_params_pl(mu, big_l)
+            make = agm_params_sc if sc else agm_params_qg
+            return make(mu, big_l, config.gamma, config.omega, config.alpha)
+        if solver == "pgm":  # in pl, _regime_mu refused: no composite has a pl constant
+            make = pgm_params_sc if sc else pgm_params_qg
+            return make(mu, big_l, config.omega, config.alpha)
         beta = config.beta if config.beta is not None else 1.0 / math.sqrt(big_l)
-        if regime is Regime.STRONGLY_CONVEX:
-            alpha = config.alpha if config.alpha is not None else 2.0 * math.sqrt(mu)
-            return ode_params_sc(mu, alpha, beta, config.omega, config.theta)
-        if regime is Regime.QUADRATIC_GROWTH:
-            alpha = config.alpha if config.alpha is not None else 2.0 * math.sqrt(mu)
-            return ode_params_qg(mu, alpha, beta, config.omega, config.theta)
-        theta = config.theta if config.theta is not None else 1.0
-        return ode_params_pl(mu, beta, theta)
-    except ConfigError:
-        raise
-    except ValueError as err:
+        if pl:
+            return ode_params_pl(mu, beta, 1.0 if config.theta is None else config.theta)
+        alpha = config.alpha if config.alpha is not None else 2.0 * math.sqrt(mu)
+        make = ode_params_sc if sc else ode_params_qg
+        return make(mu, alpha, beta, config.omega, config.theta)
+    except (ValueError, ArithmeticError) as err:
         raise ConfigError(str(err)) from None
 
 
@@ -343,17 +329,24 @@ def fit_linear_rate(trace: Trace) -> Optional[float]:
 # experiment driver
 
 
+def _knobs(config: ExperimentConfig) -> dict:
+    """The grid knobs the run reads, by file-name tag: agm in sc/qg reads
+    gamma and omega, pgm and the flow in sc/qg read omega, no run in pl
+    reads either."""
+    if config.regime == "pl":
+        return {}
+    if config.resolved_solver() == "agm":
+        return {"g": config.gamma, "w": config.omega}
+    return {"w": config.omega}
+
+
 def _default_basename(config: ExperimentConfig) -> str:
     solver = config.resolved_solver()
-    parts = [config.problem, solver, config.regime]
-    if solver in ("agm", "pgm") and config.regime != "pl":
-        if solver == "agm":
-            parts.append(f"g{config.gamma:g}")
-        parts.append(f"w{config.omega:g}")
-    if solver == "ode":
-        parts.append(f"w{config.omega:g}")
-    parts.append(f"s{config.seed}")
-    return "_".join(parts)
+    # the flow in pl ignores omega, but its names keep w: the golden
+    # listing pins pl_sine_ode_pl_w0_s0
+    knobs = _knobs(config) or ({"w": config.omega} if solver == "ode" else {})
+    tags = [f"{tag}{value:g}" for tag, value in knobs.items()]
+    return "_".join([config.problem, solver, config.regime, *tags, f"s{config.seed}"])
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True,
@@ -636,10 +629,10 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     if not gammas or not omegas:
         raise ConfigError("a --gamma or --omega grid needs at least one value")
     configs = [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
-    names = [_default_basename(c) for c in configs]
-    if len(set(names)) < len(names):
-        raise ConfigError(f"the grid runs {max(names, key=names.count)} twice: a value "
-                          f"repeats, or the {base.resolved_solver()} run ignores it")
+    runs = [tuple(_knobs(c).items()) for c in configs]
+    if len(set(runs)) < len(runs):
+        raise ConfigError(f"the grid makes one {base.resolved_solver()} run in {base.regime} "
+                          "twice: a value repeats, or the run ignores it")
     return configs
 
 

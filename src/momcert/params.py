@@ -368,13 +368,20 @@ def pgm_params_qg(
 def _theta_or_floor(theta_opt: Optional[float], lower: float, omega: float,
                     floor: str) -> float:
     """theta defaults to max(lower, omega/2); a caller's theta must be
-    finite and clear both."""
+    finite and clear both (an overflowing default is left to _gamma)."""
     theta = max(lower, omega / 2.0) if theta_opt is None else float(theta_opt)
-    _require(theta < math.inf, f"need theta < inf, got theta = {theta}")
+    _require(theta_opt is None or theta < math.inf, f"need theta < inf, got theta = {theta}")
     _require(theta >= lower * (1.0 - 1e-12),
              f"need theta >= {floor} = {lower:.12g}, got theta = {theta}")
     _require(theta >= omega / 2.0 - 1e-15, f"need theta >= omega/2 = {omega/2}, got {theta}")
     return theta
+
+
+def _gamma(theta: float, damping: float, **inputs: float) -> float:
+    """gamma = theta + damping, refused when the inputs overflow it."""
+    at = ", ".join(f"{k} = {v:g}" for k, v in inputs.items())
+    _require(theta + damping < math.inf, f"need gamma < inf, got gamma = inf at {at}")
+    return theta + damping
 
 
 def ode_params_sc(
@@ -395,12 +402,12 @@ def ode_params_sc(
     _require(0.0 <= omega <= 1.0, f"need omega in [0, 1], got {omega}")
     lower = (
         (1.0 + omega) / (2.0 + omega) ** 2
-        * alpha ** 2 / mu
+        * alpha * alpha / mu
         * (1.0 + omega * alpha * beta / (2.0 + omega))
     )
     theta = _theta_or_floor(theta_opt, lower, omega,
                             "(1+w)/(2+w)^2 * a^2/mu * (1 + w a b/(2+w))")
-    gamma = theta + alpha * beta / (2.0 + omega)
+    gamma = _gamma(theta, alpha * beta / (2.0 + omega), mu=mu, alpha=alpha, beta=beta)
     xi = (1.0 + omega) / (2.0 + omega) * alpha
     eta = omega * xi * (alpha - xi)
     rate = (1.0 + omega) / (2.0 + omega) * alpha
@@ -427,12 +434,12 @@ def ode_params_qg(
     r = math.sqrt(1.0 + omega)
     lower = (
         (1.0 + omega + r) ** 2 / (2.0 + omega + r) ** 2
-        * alpha ** 2 / mu
+        * alpha * alpha / mu
         * (1.0 + omega * alpha * beta / (r * (2.0 + omega + r)))
     )
     theta = _theta_or_floor(theta_opt, lower, omega,
                             "((1+w+r)/(2+w+r))^2 * a^2/mu * (1 + w a b/(r(2+w+r)))")
-    gamma = theta + alpha * beta / (2.0 + omega + r)
+    gamma = _gamma(theta, alpha * beta / (2.0 + omega + r), mu=mu, alpha=alpha, beta=beta)
     xi = (1.0 + omega + r) / (2.0 + omega + r) * alpha
     eta = omega * xi * (alpha - xi)
     rate = (1.0 + omega) / (2.0 + omega + r) * alpha
@@ -453,7 +460,7 @@ def ode_params_pl(mu: float, beta: float, theta: float = 1.0) -> OdeParams:
     """
     _check_finite_positive(mu=mu, beta=beta, theta=theta)
     alpha = mu * beta
-    gamma = theta + alpha * beta
+    gamma = _gamma(theta, alpha * beta, mu=mu, beta=beta)
     return OdeParams(
         regime=Regime.POLYAK_LOJASIEWICZ,
         mu=mu, alpha=alpha, beta=beta, gamma=gamma, theta=theta,

@@ -22,14 +22,24 @@ from momcert import (
     ConfigError,
     ExperimentConfig,
     Trace,
+    agm_params_pl,
+    agm_params_qg,
+    agm_params_sc,
     certify_trace,
     failed_checks,
     fit_linear_rate,
     main,
+    ode_params_pl,
+    ode_params_qg,
+    ode_params_sc,
+    pgm_params_qg,
+    pgm_params_sc,
     rate_table,
     run_experiment,
 )
 from momcert.harness import (
+    PROBLEMS,
+    REGIMES,
     build_params,
     build_problem,
     exit_code_for,
@@ -289,6 +299,40 @@ class TestBuilders:
             build_params(ExperimentConfig(problem="lasso", solver="agm"), lasso)
         with pytest.raises(ConfigError):
             build_params(ExperimentConfig(problem="lasso", solver="ode"), lasso)
+
+    ADMISSIBLE = {("quadratic", s, r) for s in ("agm", "ode") for r in REGIMES} | {
+        ("pl_sine", "agm", "pl"), ("pl_sine", "ode", "pl"),
+        ("lasso", "pgm", "sc"), ("lasso", "pgm", "qg")}
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("solver", ["agm", "pgm", "ode"])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_params_match_the_direct_constructor_call(self, problem, solver, regime):
+        config = ExperimentConfig(problem=problem, d=4, q=0.1, solver=solver,
+                                  regime=regime, gamma=1.5, omega=0.5)
+        obj, _ = build_problem(config)
+        if (problem, solver, regime) not in self.ADMISSIBLE:
+            with pytest.raises(ConfigError):
+                build_params(config, obj)
+            return
+        smooth = obj.smooth if isinstance(obj, CompositeObjective) else obj
+        mu = {"sc": smooth.strong_convexity, "qg": obj.qg_constant,
+              "pl": smooth.pl_constant}[regime]
+        big_l = smooth.lipschitz
+        # the README's defaults: beta = 1/sqrt(L); the flow's alpha = 2 sqrt(mu)
+        # in sc/qg and theta = 1 in pl
+        beta, alpha = 1.0 / math.sqrt(big_l), 2.0 * math.sqrt(mu)
+        direct = {
+            ("agm", "sc"): lambda: agm_params_sc(mu, big_l, 1.5, 0.5),
+            ("agm", "qg"): lambda: agm_params_qg(mu, big_l, 1.5, 0.5),
+            ("agm", "pl"): lambda: agm_params_pl(mu, big_l),
+            ("pgm", "sc"): lambda: pgm_params_sc(mu, big_l, 0.5),
+            ("pgm", "qg"): lambda: pgm_params_qg(mu, big_l, 0.5),
+            ("ode", "sc"): lambda: ode_params_sc(mu, alpha, beta, 0.5),
+            ("ode", "qg"): lambda: ode_params_qg(mu, alpha, beta, 0.5),
+            ("ode", "pl"): lambda: ode_params_pl(mu, beta, 1.0),
+        }[solver, regime]
+        assert build_params(config, obj) == direct()
 
     def test_lasso_reference_failure_is_a_config_error(self, monkeypatch):
         # the reference minimizer can run out of iterations (seen at
@@ -559,16 +603,35 @@ class TestParallelRateTable:
         _assert_no_child_left()
 
     def test_benchmark_smoke_sweep_counts_the_parents_steps(self):
-        run_py = Path(momcert.__file__).parents[2] / "bench" / "run.py"
-        proc = subprocess.run(
-            [sys.executable, str(run_py), "--workload", "sweep_quadratic", "--smoke",
-             "--seed", "2", "--seconds", "0", "--trace", "0"],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["correct"] and result["failed"] == 0
-        assert result["metrics"]["solve_steps_per_s"]["value"] > 0
+        metrics, _ = _bench_smoke("sweep_quadratic", trace=0)
+        assert metrics["solve_steps_per_s"]["value"] > 0
+
+    @pytest.mark.parametrize("workload,solver", [
+        ("sweep_quadratic", "agm"), ("flow_rk4", "ode"), ("certify_lasso", "pgm")])
+    def test_benchmark_smoke_trace_reaches_the_bundles_and_the_run(self, workload,
+                                                                   solver):
+        # the tracer patches the bundle constructors in the harness's globals
+        # and the runs in their modules; a rename or a captured reference
+        # would leave these layers at 0
+        metrics, stderr = _bench_smoke(workload, trace=1)
+        assert metrics["params.bundle.us"]["value"] > 0
+        assert metrics[f"{solver}.run.self_us_per_step"]["value"] > 0
+        assert "not traced, the program has no momcert.harness:" not in stderr
+
+
+def _bench_smoke(workload: str, trace: int) -> tuple[dict, str]:
+    """The metrics and stderr of a seconds-0 smoke run of the benchmark,
+    asserting that it exited 0, checked correct and failed no command."""
+    run_py = Path(momcert.__file__).parents[2] / "bench" / "run.py"
+    proc = subprocess.run(
+        [sys.executable, str(run_py), "--workload", workload, "--smoke",
+         "--seed", "2", "--seconds", "0", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    return result["metrics"], proc.stderr
 
 
 class TestCli:
@@ -682,10 +745,24 @@ class TestCli:
         ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--gamma", "1,9",
          "--omega", "0"],
         ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--omega", "0,7"],
+        # the flow in pl reads no omega, though its file names carry one
+        ["sweep", "--solver", "ode", "--problem", "pl_sine", "--regime", "pl",
+         "--omega", "0,1", "-T", "5"],
+        # flow bundle constants that overflow: gamma = theta + alpha beta / ...,
+        # and alpha^2 in the theta floor
+        ["ode", "--problem", "quadratic", "--d", "3", "--beta", "1e308"],
+        ["ode", "--problem", "quadratic", "--d", "3", "--regime", "qg", "--beta", "1e308",
+         "--omega", "0.5"],
+        ["ode", "--problem", "pl_sine", "--regime", "pl", "--beta", "1e160"],
+        ["ode", "--problem", "quadratic", "--d", "3", "--alpha", "1e200"],
+        ["ode", "--problem", "quadratic", "--d", "3", "--regime", "qg", "--alpha", "1e200"],
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
-            "pl-gamma-grid", "inadmissible-gamma-grid", "inadmissible-omega-grid"])
+            "pl-gamma-grid", "inadmissible-gamma-grid", "inadmissible-omega-grid",
+            "flow-pl-omega-grid", "overflowing-sc-gamma", "overflowing-qg-gamma",
+            "overflowing-pl-gamma", "overflowing-sc-theta-floor",
+            "overflowing-qg-theta-floor"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         inputs, out = tmp_path / "inputs", tmp_path / "out"
         inputs.mkdir()

@@ -253,6 +253,19 @@ class TestOde:
         with pytest.raises(ValueError, match="< inf"):
             make(v)
 
+    @pytest.mark.parametrize("make,named", [
+        (lambda: ode_params_sc(1.0, 2.0, 1e308, 0.0), "beta = 1e+308"),
+        (lambda: ode_params_qg(1.0, 2.0, 1e308, 0.5), "beta = 1e+308"),
+        (lambda: ode_params_pl(0.2, 1e160), "beta = 1e+160"),
+        # alpha^2 overflows the default theta, and so gamma
+        (lambda: ode_params_sc(1.0, 1e200, 0.1, 0.0), "alpha = 1e+200"),
+        (lambda: ode_params_qg(1.0, 1e200, 0.1, 0.0), "alpha = 1e+200"),
+    ], ids=["sc-beta", "qg-beta", "pl-beta", "sc-alpha", "qg-alpha"])
+    def test_overflowing_gamma_is_refused(self, make, named):
+        with pytest.raises(ValueError, match="^need gamma < inf, got gamma = inf at ") as err:
+            make()
+        assert named in str(err.value)
+
 
 FACTORIES = [
     lambda: agm_params_sc(1.0, 100.0, 1.0, 0.0),
