@@ -629,10 +629,10 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     if not gammas or not omegas:
         raise ConfigError("a --gamma or --omega grid needs at least one value")
     configs = [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
-    runs = [tuple(_knobs(c).items()) for c in configs]
+    runs = [tuple(f"{t}{v:g}" for t, v in _knobs(c).items()) for c in configs]
     if len(set(runs)) < len(runs):
         raise ConfigError(f"the grid makes one {base.resolved_solver()} run in {base.regime} "
-                          "twice: a value repeats, or the run ignores it")
+                          "twice: a value repeats, two format alike, or the run ignores it")
     return configs
 
 

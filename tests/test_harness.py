@@ -748,6 +748,9 @@ class TestCli:
         # the flow in pl reads no omega, though its file names carry one
         ["sweep", "--solver", "ode", "--problem", "pl_sine", "--regime", "pl",
          "--omega", "0,1", "-T", "5"],
+        # distinct values that the file names show alike (:g keeps 6 digits)
+        ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--omega",
+         "0.5,0.5000001"],
         # flow bundle constants that overflow: gamma = theta + alpha beta / ...,
         # and alpha^2 in the theta floor
         ["ode", "--problem", "quadratic", "--d", "3", "--beta", "1e308"],
@@ -760,7 +763,8 @@ class TestCli:
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
             "pl-gamma-grid", "inadmissible-gamma-grid", "inadmissible-omega-grid",
-            "flow-pl-omega-grid", "overflowing-sc-gamma", "overflowing-qg-gamma",
+            "flow-pl-omega-grid", "alike-named-omega-grid",
+            "overflowing-sc-gamma", "overflowing-qg-gamma",
             "overflowing-pl-gamma", "overflowing-sc-theta-floor",
             "overflowing-qg-theta-floor"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
