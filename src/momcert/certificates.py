@@ -33,6 +33,14 @@ class DivergenceError(RuntimeError):
         self.k = k
 
 
+def _stiffness(lipschitz: float, alpha: float, beta: float) -> float:
+    """Lambda = sqrt(L (1 + alpha beta)), factored as sqrt(L) sqrt(...) on overflow."""
+    scale = lipschitz * (1.0 + alpha * beta)
+    if math.isfinite(scale):
+        return math.sqrt(scale)
+    return math.sqrt(lipschitz) * math.sqrt(1.0 + alpha * beta)
+
+
 def _discrete_slack(trace: Trace) -> np.ndarray:
     """Slack E_k - (1 + A h) E_{k+1} of each step check k -> k+1.
 
@@ -52,19 +60,17 @@ def _flow_slack(trace: Trace, rate: float) -> tuple[np.ndarray, float]:
     For n samples, entry j of the first array certifies the step into
     sample j + 1: the rescaled energy eps(t) exp(rate t) must not grow,
     checked in the overflow-safe form eps_{j+1} exp(rate dt) <= eps_j
-    (1 + tol) + floor. tol = (Lambda dt)^4, with Lambda = sqrt(L (1 +
-    alpha beta)) the stiffness scale, allows for the RK4 error; the floor
-    is the resolution of the energy measurement itself, a few ulps of the
-    objective values entering it (summary f_scale). The global check is
-    eps(t) <= eps(0) exp(-rate t) (1 + 1e-6) at its worst sample. The
-    summary supplies dt, L, alpha, beta and, optionally, f_scale.
+    (1 + tol) + floor. tol = (Lambda dt)^4 (inf where it overflows), with
+    Lambda the stiffness scale, allows for the RK4 error; the floor is the
+    resolution of the energy measurement itself, a few ulps of the objective
+    values entering it (summary f_scale). The global check is eps(t) <=
+    eps(0) exp(-rate t) (1 + 1e-6) at its worst sample. The summary supplies
+    dt, L, alpha, beta and, optionally, f_scale. A non-finite energy gives
+    NaN slacks, which fail.
     """
     s, t, eps = trace.summary, trace.column("t"), trace.column("energy")
-    if np.any(~np.isfinite(eps)):
-        raise ValueError("trace has no finite energy column; was the run certified?")
-    dt = float(s["dt"])
-    lam = math.sqrt(float(s["L"]) * (1.0 + float(s["alpha"]) * float(s["beta"])))
-    tol_step = (lam * dt) ** 4
+    dt = s["dt"]
+    tol_step = np.float64(_stiffness(s["L"], s["alpha"], s["beta"]) * dt) ** 4
     eps0 = eps[0]
 
     env = eps0 * np.exp(-rate * t)
@@ -91,14 +97,15 @@ def certify_trace(trace: Trace) -> Trace:
     s = trace.summary
     col = trace.column("certificate_slack")
     col[:] = np.nan
-    if trace.kind != "ode":
-        slack = _discrete_slack(trace)
-        col[:len(slack)] = slack
-    elif s["certified"] and s["aborted_at"] is None:
-        col[1:], s["envelope_slack"] = _flow_slack(trace, s["decay_rate"])
-        slack = np.append(col[1:], s["envelope_slack"])
-    else:
-        slack, s["envelope_slack"] = np.empty(0), np.nan
+    with np.errstate(all="ignore"):  # an overflowing energy gives NaN slacks
+        if trace.kind != "ode":
+            slack = _discrete_slack(trace)
+            col[:len(slack)] = slack
+        elif s["certified"] and s["aborted_at"] is None:
+            col[1:], s["envelope_slack"] = _flow_slack(trace, s["decay_rate"])
+            slack = np.append(col[1:], s["envelope_slack"])
+        else:
+            slack, s["envelope_slack"] = np.empty(0), np.nan
     s["certificates_checked"] = len(slack)
     s["min_certificate_slack"] = min(slack.tolist(), default=np.nan)
     s["certificates_failed"] = len(failed_checks(trace)[0])

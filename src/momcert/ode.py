@@ -13,8 +13,8 @@ z(0) = 0, i.e. the velocity starts at -beta grad f(x0).
 RK4 evaluates k_x = z + (-beta) g, k_z = (-alpha) z + (alpha beta - gamma) g
 at g = grad f(x), stages w + (dt/2) k and w + dt k, and the step
 w + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) for w = x, z: on a pair of 1-d
-arrays, or of Python floats when d = 1, where f and grad f come from
-`oracle.on_floats`. A non-finite x or z raises DivergenceError.
+arrays, or of Python floats when the objective declares `takes_floats`.
+A non-finite x or z raises DivergenceError.
 
 The certified energy is
 
@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import DivergenceError
+from .certificates import DivergenceError, _stiffness
 from .driver import run_trace
-from .oracle import SmoothObjective, on_floats
+from .oracle import SmoothObjective
 from .params import OdeParams
 from .trace import Trace
 
@@ -54,8 +54,8 @@ ODE_COLUMNS = ("t", "f_gap", "energy", "envelope", "certificate_slack")
 
 # One kernel for both state types, so that there is one operation order:
 # written with plain * and + in the module docstring's order, the same
-# lines round identically on Python floats and on arrays, and a d = 1 run
-# on floats (NumPy's per-call overhead on one-element arrays would cost
+# lines round identically on Python floats and on arrays, and a run on
+# floats (NumPy's per-call overhead on one-element arrays would cost
 # several times the arithmetic) is bit-identical to the array loop.
 
 
@@ -96,7 +96,7 @@ def rk4_step(x, z, dt: float, grad, c, k: int):
 def ode_energy(x, z, f, params: OdeParams, xstar, fstar: float) -> float:
     """eps at the state (x, z), given f = f(x) and the true minimizer and value.
 
-    x, z and xstar are Python floats (d = 1) or 1-d arrays.
+    x, z and xstar are Python floats or 1-d arrays.
     """
     dx = x - xstar
     phi = z + params.xi * dx
@@ -109,8 +109,7 @@ def ode_energy(x, z, f, params: OdeParams, xstar, fstar: float) -> float:
 
 def default_dt(obj: SmoothObjective, params: OdeParams) -> float:
     """Step small enough for RK4 on this problem's stiffness scale."""
-    lam = math.sqrt(obj.lipschitz * (1.0 + params.alpha * params.beta))
-    return 0.1 / lam
+    return 0.1 / _stiffness(obj.lipschitz, params.alpha, params.beta)
 
 
 def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
@@ -122,14 +121,12 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     noise floor) in `summary`; a step that leaves the state non-finite
     raises DivergenceError with the index of the sample it was to produce.
     """
-    xstar, fstar = obj.minimizer, obj.min_value
-    if obj.dimension == 1:
-        feval, grad = on_floats(obj)
+    xstar, fstar, grad, feval = obj.minimizer, obj.min_value, obj.grad, obj.eval
+    if obj.takes_floats:
         x, z = float(x0[0]), 0.0
         if certified:
             xstar = float(xstar[0])
     else:
-        grad, feval = obj.grad, obj.eval
         x, z = x0, np.zeros(x0.size)
     c = _coefficients(params)
     for k in itertools.count(1):

@@ -9,7 +9,7 @@ scans rather than assumed.
 Objectives are plain frozen dataclasses holding callables. Points are 1-d
 numpy arrays of float64, including one-dimensional problems; a 1-d
 objective with `takes_floats` set also takes a Python float and then
-returns one, and `on_floats` gives every 1-d objective that form.
+returns one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class SmoothObjective:
     are None when no ground truth is available; certificate code treats
     that as "run uncertified". `takes_floats` declares that a 1-d
     objective's eval and grad also take a Python float and then return one,
-    bit for bit as on a (1,) array, so the flow and PL scan skip the boxing.
+    bit for bit as on a (1,) array; only then do the flow and PL scan use floats.
     """
 
     dimension: int
@@ -56,14 +56,6 @@ class SmoothObjective:
     minimizer: Optional[np.ndarray] = None
     min_value: Optional[float] = None
     takes_floats: bool = False
-
-
-def on_floats(obj: SmoothObjective) -> tuple[Callable, Callable]:
-    """(f, df) of a 1-d objective on Python floats, through obj's callables."""
-    if obj.takes_floats:
-        return obj.eval, obj.grad
-    return (lambda u: obj.eval(np.array([u])),
-            lambda u: float(obj.grad(np.array([u]))[0]))
 
 
 @dataclass(frozen=True)
@@ -299,27 +291,28 @@ def estimate_pl_constant(
     """Scan-based lower estimate of the gradient-domination constant.
 
     Minimizes ||grad f(x)||^2 / (2 (f(x) - f*)) over a uniform 1-d grid on
-    [lo, hi], or over explicitly supplied points for higher dimensions.
-    Points with f(x) - f* < 1e-12 are excluded as numerically degenerate.
-    Requires min_value on the objective.
+    [lo, hi] (on Python floats if obj.takes_floats, else on (1,) arrays), or
+    over explicitly supplied points for higher dimensions. Points with
+    f(x) - f* < 1e-12 are excluded as numerically degenerate. Requires
+    min_value on the objective.
     """
     if obj.min_value is None:
         raise ValueError("estimate_pl_constant needs obj.min_value")
-    if points is None:
-        if obj.dimension != 1:
-            raise ValueError("grid scan is 1-d only; pass points explicitly")
-        # on floats g * g is the one-element g @ g, bit for bit
-        f, df = on_floats(obj)
-        xs, sq = np.linspace(lo, hi, n).tolist(), lambda g: g * g
+    if points is not None:
+        xs = [np.asarray(p, dtype=float) for p in points]
+    elif obj.dimension != 1:
+        raise ValueError("grid scan is 1-d only; pass points explicitly")
     else:
-        f, df = obj.eval, obj.grad
-        xs, sq = [np.asarray(p, dtype=float) for p in points], lambda g: float(g @ g)
+        grid = np.linspace(lo, hi, n).tolist()
+        xs = grid if obj.takes_floats else [np.array([u]) for u in grid]
+    f, df = obj.eval, obj.grad
     best = np.inf
     for x in xs:
         gap = f(x) - obj.min_value
         if gap < 1e-12:
             continue
-        best = min(best, sq(df(x)) / (2.0 * gap))
+        g = df(x)  # on a float, g * g is the one-element g @ g, bit for bit
+        best = min(best, (g * g if type(g) is float else float(g @ g)) / (2.0 * gap))
     if not np.isfinite(best):
         raise ValueError("no sample point had f(x) - f* >= 1e-12")
     return best

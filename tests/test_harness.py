@@ -759,6 +759,9 @@ class TestCli:
         ["ode", "--problem", "pl_sine", "--regime", "pl", "--beta", "1e160"],
         ["ode", "--problem", "quadratic", "--d", "3", "--alpha", "1e200"],
         ["ode", "--problem", "quadratic", "--d", "3", "--regime", "qg", "--alpha", "1e200"],
+        # L (1 + alpha beta) overflows: the default dt is finite and tiny,
+        # so the row limit refuses the run
+        ["ode", "--problem", "quadratic", "--d", "3", "--beta", "1e306"],
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
@@ -766,7 +769,7 @@ class TestCli:
             "flow-pl-omega-grid", "alike-named-omega-grid",
             "overflowing-sc-gamma", "overflowing-qg-gamma",
             "overflowing-pl-gamma", "overflowing-sc-theta-floor",
-            "overflowing-qg-theta-floor"])
+            "overflowing-qg-theta-floor", "overflowing-stiffness"])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         inputs, out = tmp_path / "inputs", tmp_path / "out"
         inputs.mkdir()
@@ -775,6 +778,25 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--alpha", "1e150", "--beta", "1e-150"],
+                                       ["--beta", "1e306", "--dt", "1e-3"]],
+                             ids=["overflowing-energy", "huge-stiffness-step"])
+    def test_flow_past_the_float_range_fails_without_traceback(self, tmp_path,
+                                                               capsys, flags):
+        # the bundle is finite, but at alpha = 1e150 every energy sample
+        # overflows (NaN slacks, every check fails), and at Lambda dt = 1.4e151
+        # the first step diverges (aborted, nothing checked)
+        rc = _main_without_runtime_warnings(
+            ["ode", "--problem", "quadratic", "--d", "3", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        (path,) = tmp_path.glob("*.json")
+        summary = json.loads(path.read_text())
+        overflowing = "--alpha" in flags
+        assert summary["certificates_failed"] == summary["certificates_checked"]
+        assert (summary["certificates_checked"] > 0) == overflowing
+        assert (summary["aborted_at"] is None) == overflowing
 
     def test_unparsable_grid_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -6,6 +6,7 @@ energy decay are both measured against it.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,16 @@ class TestRun:
             0.1 / math.sqrt(25.0 * (1.0 + 0.4)), rel=1e-15
         )
 
+    def test_default_dt_where_the_stiffness_product_overflows(self):
+        # L (1 + alpha beta) overflows at beta = 1e306; the step stays
+        # positive and finite, sqrt(L) sqrt(1 + alpha beta) apart
+        obj = quadratic_problem([1.0, 100.0], [0.0, 0.0])
+        p = ode_params_sc(1.0, alpha=2.0, beta=1e306, omega=0.0)
+        assert math.isinf(obj.lipschitz * (1.0 + p.alpha * p.beta))
+        assert default_dt(obj, p) == pytest.approx(
+            0.1 / (10.0 * math.sqrt(1.0 + 2e306)), rel=1e-15, abs=0.0
+        )
+
     def test_uncertified_flow(self):
         obj = quadratic_problem([1.0, 4.0], [1.0, 1.0])
         anon = replace(obj, minimizer=None, min_value=None)
@@ -336,9 +347,32 @@ class TestCertify:
         assert tr.column("certificate_slack")[10] >= 0
         assert 10 not in failed_checks(tr)[0].tolist()
 
-    def test_refuses_uncertified_trace(self):
-        with pytest.raises(ValueError):
-            _certified(np.full(10, np.nan), 1.0, 0.01)
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_energy_fails_every_check(self, value):
+        # an energy that overflowed gives NaN slacks, as on agm and pgm,
+        # quietly: no ValueError and no RuntimeWarning
+        rate, dt = 1.0, 0.01
+        eps = 3.0 * np.exp(-rate * np.arange(10) * dt)
+        eps[4:] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = _certified(eps, rate, dt)
+        s = tr.summary
+        assert s["certificates_checked"] == 10
+        assert failed_checks(tr)[0].tolist() == [4, 5, 6, 7, 8, 9, -1]
+        assert s["certificates_failed"] == 7 and not s["envelope_slack"] >= 0
+
+    def test_overflowing_integrator_allowance_is_infinite(self):
+        # Lambda dt = 3.2e152, so (Lambda dt)^4 overflows: every step check
+        # passes and the global envelope still judges the decay
+        rate, dt = 1.0, 1.0
+        t = np.arange(20) * dt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = _certified(3.0 * np.exp(-0.5 * rate * t), rate, dt,
+                            big_l=1e300, beta=1e5)
+        assert np.all(tr.column("certificate_slack")[1:] == math.inf)
+        assert failed_checks(tr)[0].tolist() == [-1]
 
 
 class TestRunEquivalence:
@@ -346,7 +380,11 @@ class TestRunEquivalence:
 
     @staticmethod
     def _case(name):
-        """(objective, bundle, x0, dt): a 3-d flow and d = 1 flows on floats."""
+        """(objective, bundle, x0, dt): a 3-d flow and d = 1 flows.
+
+        pl_sine takes floats, and its run steps on them; every other case,
+        pl_sine-arrays included, steps on arrays.
+        """
         if name == "quadratic-3d":
             obj = quadratic_problem(np.geomspace(1.0, 30.0, 3), np.ones(3), seed=5)
             p = ode_params_sc(1.0, alpha=2.0, beta=0.2, omega=1.0)
@@ -359,15 +397,17 @@ class TestRunEquivalence:
         p = ode_params_pl(obj.pl_constant, beta=1.0 / math.sqrt(obj.lipschitz))
         if name == "pl_sine-uncertified":
             obj = replace(obj, minimizer=None, min_value=None)
+        if name == "pl_sine-arrays":
+            obj = replace(obj, takes_floats=False)
         return obj, p, np.array([2.0]), 0.01
 
     @pytest.mark.parametrize("name", ["quadratic-3d", "quadratic-1d", "pl_sine",
-                                      "pl_sine-uncertified"])
+                                      "pl_sine-uncertified", "pl_sine-arrays"])
     def test_columns_match_public_step_and_energy_bitwise(self, name):
         obj, p, x0, dt = self._case(name)
         tr = ode_run(obj, p, x0, horizon=2.0, dt=dt)
         assert tr.summary["dt"] == dt and tr.n_rows == 201
-        # on arrays, also for d = 1, whose run steps on Python floats
+        # on arrays, also for pl_sine, whose run steps on Python floats
         x, z, c = x0, np.zeros(x0.size), _coefficients(p)
         fs, gaps, eps = [], [], []
         for j in range(tr.n_rows):
@@ -391,9 +431,11 @@ class TestRunEquivalence:
         assert tr.column("energy").tobytes() == np.array(eps).tobytes()
         assert tr.column("envelope").tobytes() == np.array(envelope).tobytes()
 
-    @pytest.mark.parametrize("name", ["quadratic-3d", "pl_sine"])
+    @pytest.mark.parametrize("name", ["quadratic-3d", "quadratic-1d", "pl_sine",
+                                      "pl_sine-arrays"])
     def test_run_calls_the_public_energy(self, monkeypatch, name):
-        # one ode_energy call per sample, on arrays and on d = 1 floats
+        # one ode_energy call per sample, on floats exactly when the
+        # objective declares takes_floats, else on arrays
         obj, p, x0, dt = self._case(name)
         calls = []
 
@@ -404,6 +446,19 @@ class TestRunEquivalence:
         monkeypatch.setattr("momcert.ode.ode_energy", counted)
         tr = ode_run(obj, p, x0, horizon=2.0, dt=dt)
         assert len(calls) == tr.n_rows
+        kind = float if obj.takes_floats else np.ndarray
+        assert {type(u) for args in calls for u in (args[0], args[1], args[4])} == {kind}
+
+    def test_floats_and_arrays_give_the_same_trace(self):
+        # the number-type rule moves no byte: pl_sine on (1,) arrays
+        # writes the columns and summary of its run on floats
+        obj, p, x0, dt = self._case("pl_sine")
+        floats = ode_run(obj, p, x0, horizon=2.0, dt=dt)
+        arrays = ode_run(replace(obj, takes_floats=False), p, x0, horizon=2.0, dt=dt)
+        for name in ODE_COLUMNS:
+            assert arrays.column(name).tobytes() == floats.column(name).tobytes()
+        del floats.summary["wall_time_s"], arrays.summary["wall_time_s"]
+        assert repr(arrays.summary) == repr(floats.summary)
 
     def test_array_certification_matches_the_list(self):
         rate, dt = 1.0, 0.01
@@ -452,7 +507,8 @@ class TestRunEquivalence:
 
 class TestOracleBudget:
     @pytest.mark.parametrize("name, kind", [("pl_sine", float),
-                                            ("quadratic-1d", np.ndarray)])
+                                            ("quadratic-1d", np.ndarray),
+                                            ("pl_sine-arrays", np.ndarray)])
     def test_four_gradients_and_one_value_per_sample(self, name, kind):
         # the README table: 4 gradients (the RK4 stages) and 1 value per
         # sample, every one through the objective's own callables; pl_sine

@@ -351,14 +351,20 @@ class TestEstimatePl:
 
     @pytest.mark.parametrize("make", [pl_sine_problem,
                                       lambda: quadratic_problem([0.7], [0.3])],
-                             ids=["pl_sine-floats", "quadratic-boxed"])
+                             ids=["pl_sine-floats", "quadratic-arrays"])
     def test_grid_scan_equals_the_array_scan_bitwise(self, make):
-        # the 1-d grid scan runs on floats (pl_sine's own callables, or boxed
-        # into (1,) arrays); the explicit points run on arrays with g @ g
+        # the 1-d grid scan runs on floats when the objective takes them
+        # (pl_sine) and on (1,) arrays otherwise; the explicit points run
+        # on arrays with g @ g
         obj = make()
         grid = [np.array([t]) for t in np.linspace(-20.0, 20.0, 20001)]
         scan, points = estimate_pl_constant(obj), estimate_pl_constant(obj, points=grid)
         assert float(scan).hex() == float(points).hex()
+
+    def test_grid_scan_on_arrays_equals_the_scan_on_floats(self):
+        obj = pl_sine_problem()  # its pl_constant is the scan on floats
+        arrays = estimate_pl_constant(replace(obj, takes_floats=False))
+        assert float(arrays).hex() == float(obj.pl_constant).hex()
 
     def test_degenerate_inputs(self):
         obj = quadratic_problem([1.0], [0.0])
