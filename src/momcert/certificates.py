@@ -107,7 +107,7 @@ def certify_trace(trace: Trace) -> Trace:
         else:
             slack, s["envelope_slack"] = np.empty(0), np.nan
     s["certificates_checked"] = len(slack)
-    s["min_certificate_slack"] = min(slack.tolist(), default=np.nan)
+    s["min_certificate_slack"] = float(np.min(slack)) if len(slack) else np.nan
     s["certificates_failed"] = len(failed_checks(trace)[0])
     return trace
 

@@ -7,9 +7,11 @@ and writes one CSV (the trace) plus one JSON file (the summary). Repeat
 runs of the same configuration and seed produce byte-identical CSVs.
 
 Exit status contract for the CLI: 0 on success, 1 if any runtime
-certificate failed or a run diverged, 2 for configuration errors
-(rejected before any compute happens). The default output directory is
-taken from the MOMCERT_OUT environment variable when set.
+certificate failed or a run diverged, 2 for configuration errors. The
+config's rules, the admissible (problem, solver, regime) triples among
+them, are checked before any compute; an unbuildable instance and a bundle
+constructor's refusal are reported after the build. The default output
+directory is taken from the MOMCERT_OUT environment variable when set.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import os
 import pickle
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
@@ -64,13 +67,12 @@ __all__ = [
 
 OUT_ENV_VAR = "MOMCERT_OUT"
 
-PROBLEMS = ("quadratic", "pl_sine", "lasso")
 SOLVERS = ("auto", "agm", "pgm", "ode")
 REGIMES = tuple(r.value for r in Regime)
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; reported before any compute."""
+    """Invalid experiment configuration; the CLI exits 2 on it."""
 
 
 @dataclass
@@ -106,6 +108,14 @@ class ExperimentConfig:
             raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        row, solver = _PROBLEMS[self.problem], self.resolved_solver()
+        if (solver == "pgm") != row.composite:
+            kind = ("smooth", "composite")
+            raise ConfigError(f"solver {solver!r} needs a {kind[solver == 'pgm']} objective, "
+                              f"and {self.problem} is {kind[row.composite]}")
+        if self.regime not in row.regimes:
+            raise ConfigError(f"regime {self.regime!r} does not apply to {self.problem}, "
+                              f"which admits {', '.join(row.regimes)}")
         for f in fields(self):
             v = getattr(self, f.name)
             if _KEY_TYPES[f.name] is not float or (v is None and f.default is None):
@@ -114,15 +124,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a finite number, got {v}")
         if self.seed < 0:
             raise ConfigError(f"need seed >= 0, got {self.seed}")
-        if self.problem == "quadratic" and self.d < 2:
-            raise ConfigError("quadratic instances need d >= 2 to realize q < 1")
-        if self.problem != "pl_sine":
+        if "q" in row.keys:  # a generated instance, with curvatures from q L to L
+            if self.d < 2:
+                raise ConfigError(f"{self.problem} instances need d >= 2 to realize q < 1")
             if not 0.0 < self.q < 1.0:
                 raise ConfigError(f"need 0 < q < 1, got q = {self.q}")
             if self.L <= 0:
                 raise ConfigError(f"need L > 0, got {self.L}")
-        if self.d < 1:
-            raise ConfigError(f"need d >= 1, got {self.d}")
         if self.iters < 1:
             raise ConfigError(f"need iters >= 1, got {self.iters}")
         if self.horizon is not None and self.horizon <= 0:
@@ -136,7 +144,7 @@ class ExperimentConfig:
     def resolved_solver(self) -> str:
         if self.solver != "auto":
             return self.solver
-        return "pgm" if self.problem == "lasso" else "agm"
+        return "pgm" if _PROBLEMS[self.problem].composite else "agm"
 
 
 def _key_type(hint) -> type:
@@ -190,60 +198,50 @@ def _coerce(key: str, val: str):
 # problem and bundle construction
 
 
+def _quadratic(config: ExperimentConfig, rng: np.random.Generator) -> SmoothObjective:
+    spectrum = np.geomspace(config.q * config.L, config.L, config.d)
+    return quadratic_problem(spectrum, rng.standard_normal(config.d), seed=config.seed)
+
+
+def _lasso(config: ExperimentConfig, rng: np.random.Generator) -> CompositeObjective:
+    sv = np.sqrt(np.geomspace(config.q * config.L, config.L, config.d))
+    u, v = _random_orthogonal(config.d, rng), _random_orthogonal(config.d, rng)
+    a = u @ (sv[:, None] * v.T)
+    b = 3.0 * rng.standard_normal(config.d)
+    lam = config.lam if config.lam is not None else 0.3 * float(np.max(np.abs(a.T @ b)))
+    return lasso_problem(a, b, lam)
+
+
+# One row per problem: its builder (config, rng) -> objective; whether the
+# objective is composite (pgm runs exactly those, and auto picks it); the
+# regimes whose constant it carries; the keys besides seed that its instance
+# and start point read.
+_Problem = namedtuple("_Problem", "build composite regimes keys")
+_PROBLEMS = {
+    "quadratic": _Problem(_quadratic, False, ("sc", "qg", "pl"), ("d", "q", "L", "x0_scale")),
+    "pl_sine": _Problem(lambda config, rng: pl_sine_problem(), False, ("pl",), ("x0",)),
+    "lasso": _Problem(_lasso, True, ("sc", "qg"), ("d", "q", "L", "lam", "x0_scale")),
+}
+PROBLEMS = tuple(_PROBLEMS)
+
+
 def build_problem(
     config: ExperimentConfig,
 ) -> tuple[Union[SmoothObjective, CompositeObjective], np.ndarray]:
-    """Instantiate the configured problem and its seeded start point."""
-    rng_problem = np.random.default_rng([config.seed, 0])
-    rng_start = np.random.default_rng([config.seed, 1])
-
-    if config.problem == "pl_sine":
-        return pl_sine_problem(), np.array([config.x0])
-
-    mu = config.q * config.L
+    """Instantiate the configured problem and its seeded start point: x0 if
+    the problem reads it, else the minimizer plus x0_scale standard normals."""
+    row = _PROBLEMS[config.problem]
     try:
-        if config.problem == "quadratic":
-            spectrum = np.geomspace(mu, config.L, config.d)
-            b = rng_problem.standard_normal(config.d)
-            obj = quadratic_problem(spectrum, b, seed=config.seed)
-        else:
-            sv = np.sqrt(np.geomspace(mu, config.L, config.d))
-            u = _random_orthogonal(config.d, rng_problem)
-            v = _random_orthogonal(config.d, rng_problem)
-            a = u @ (sv[:, None] * v.T)
-            b = 3.0 * rng_problem.standard_normal(config.d)
-            lam = config.lam
-            if lam is None:
-                lam = 0.3 * float(np.max(np.abs(a.T @ b)))
-            obj = lasso_problem(a, b, lam)
+        obj = row.build(config, np.random.default_rng([config.seed, 0]))
     except (ArithmeticError, ValueError, RuntimeError, MemoryError) as err:
         # a failed residual check, a rank-deficient A, a reference minimizer
         # that does not converge, or a d too large to allocate
-        raise ConfigError(
-            f"{config.problem} instance with q = {config.q:g}, d = {config.d} "
-            f"cannot be built: {err}"
-        ) from None
-    x0 = obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
-    return obj, x0
-
-
-def _regime_mu(obj, regime: Regime, smooth: SmoothObjective) -> float:
-    """Pick the growth constant matching the requested regime."""
-    if regime is Regime.STRONGLY_CONVEX:
-        mu = smooth.strong_convexity
-        what = "strong convexity"
-    elif regime is Regime.QUADRATIC_GROWTH:
-        mu = obj.qg_constant
-        what = "quadratic growth"
-    else:
-        mu = getattr(obj, "pl_constant", None)
-        what = "gradient domination"
-    if mu is None:
-        raise ConfigError(
-            f"problem provides no {what} constant; regime {regime.value!r} "
-            "is not applicable"
-        )
-    return float(mu)
+        raise ConfigError(f"{config.problem} instance with q = {config.q:g}, "
+                          f"d = {config.d} cannot be built: {err}") from None
+    if "x0" in row.keys:
+        return obj, np.array([config.x0])
+    rng_start = np.random.default_rng([config.seed, 1])
+    return obj, obj.minimizer + config.x0_scale * rng_start.standard_normal(config.d)
 
 
 def build_params(config: ExperimentConfig, obj) -> Union[
@@ -251,25 +249,23 @@ def build_params(config: ExperimentConfig, obj) -> Union[
 ]:
     """Build the parameter bundle for the resolved solver and regime.
 
+    The config is validated first, so obj carries the regime's constant.
     A constructor's refusal (a theorem-level inequality, or constants that
     overflow) surfaces as ConfigError with the constructor's message.
     """
-    solver = config.resolved_solver()
-    composite = isinstance(obj, CompositeObjective)
-    if (solver == "pgm") != composite:
-        raise ConfigError(f"solver {solver!r} needs a "
-                          f"{'composite' if composite else 'smooth'} objective")
-    regime = Regime(config.regime)
-    smooth = obj.smooth if composite else obj
-    mu, big_l = _regime_mu(obj, regime, smooth), smooth.lipschitz
-    pl, sc = regime is Regime.POLYAK_LOJASIEWICZ, regime is Regime.STRONGLY_CONVEX
+    solver, regime = config.validated().resolved_solver(), config.regime
+    smooth = obj.smooth if solver == "pgm" else obj
+    mu = float({"sc": smooth.strong_convexity, "qg": obj.qg_constant,
+                "pl": smooth.pl_constant}[regime])
+    big_l = smooth.lipschitz
+    pl, sc = regime == "pl", regime == "sc"
     try:
         if solver == "agm":
             if pl:
                 return agm_params_pl(mu, big_l)
             make = agm_params_sc if sc else agm_params_qg
             return make(mu, big_l, config.gamma, config.omega, config.alpha)
-        if solver == "pgm":  # in pl, _regime_mu refused: no composite has a pl constant
+        if solver == "pgm":  # no composite problem admits pl
             make = pgm_params_sc if sc else pgm_params_qg
             return make(mu, big_l, config.omega, config.alpha)
         beta = config.beta if config.beta is not None else 1.0 / math.sqrt(big_l)
@@ -420,8 +416,8 @@ def rate_table(
 ) -> list[dict]:
     """Run each configuration and tabulate certified vs fitted rates.
 
-    All configs must target the same problem instance (same problem key,
-    size, penalty, seed and start) so the rows are comparable. Each is
+    All configs must target the same problem instance (same problem, seed
+    and keys of the problem's table row) so the rows are comparable. Each is
     built before the first run; members i, i + n, ... then run in process
     i of n, one per usable core, with the rows and files of a serial run.
     Rows are sorted by (regime, gamma, omega), count certificates_passed
@@ -430,7 +426,8 @@ def rate_table(
     if not configs:
         raise ConfigError("rate_table needs at least one configuration")
     configs = [replace(c).validated() for c in configs]
-    keys = [(c.problem, c.d, c.q, c.L, c.lam, c.seed, c.x0, c.x0_scale) for c in configs]
+    keys = [(c.problem, c.seed, *(getattr(c, k) for k in _PROBLEMS[c.problem].keys))
+            for c in configs]
     if len(set(keys)) > 1:
         raise ConfigError(f"rate_table configs must share one problem instance; "
                           f"{next(k for k in keys if k != keys[0])} != {keys[0]}")
@@ -628,7 +625,8 @@ def _sweep_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
     omegas = [base.omega] if args.omegas is None else args.omegas
     if not gammas or not omegas:
         raise ConfigError("a --gamma or --omega grid needs at least one value")
-    configs = [replace(base, gamma=g, omega=w) for g in gammas for w in omegas]
+    # validated before _knobs, which reads the problem table
+    configs = [replace(base, gamma=g, omega=w).validated() for g in gammas for w in omegas]
     runs = [tuple(f"{t}{v:g}" for t, v in _knobs(c).items()) for c in configs]
     if len(set(runs)) < len(runs):
         raise ConfigError(f"the grid makes one {base.resolved_solver()} run in {base.regime} "

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +334,33 @@ class TestBuilders:
         }[solver, regime]
         assert build_params(config, obj) == direct()
 
+    # a changed value for every key but problem and seed (seed is part of
+    # every instance key)
+    CHANGED = dict(d=5, q=0.2, L=50.0, lam=0.5, x0=-3.0, x0_scale=1.0, solver="ode",
+                   regime="qg", gamma=1.5, omega=0.5, alpha=0.3, beta=0.2, theta=2.0,
+                   iters=7, horizon=3.0, dt=0.01, certify=False, out="elsewhere",
+                   csv="a.csv", json="a.json", quiet=True)
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_table_row_agrees_with_its_instance(self, problem):
+        # the row's composite flag, regimes and keys decide what is refused
+        # before the build, so each must hold of the instance built
+        row = momcert.harness._PROBLEMS[problem]
+        config = ExperimentConfig(problem=problem, d=4, q=0.1)
+        obj, x0 = build_problem(config)
+        assert isinstance(obj, CompositeObjective) == row.composite
+        smooth = obj.smooth if row.composite else obj
+        constants = {"sc": smooth.strong_convexity, "qg": obj.qg_constant,
+                     "pl": smooth.pl_constant}
+        assert [r for r in REGIMES if constants[r] is not None] == list(row.regimes)
+        assert set(self.CHANGED) == {f.name for f in fields(ExperimentConfig)} - {
+            "problem", "seed"}
+        assert set(row.keys) < set(self.CHANGED)
+        bits = _instance_bits(obj, x0)
+        for key, value in self.CHANGED.items():
+            changed = _instance_bits(*build_problem(replace(config, **{key: value})))
+            assert (changed != bits) == (key in row.keys), key
+
     def test_lasso_reference_failure_is_a_config_error(self, monkeypatch):
         # the reference minimizer can run out of iterations (seen at
         # q = 1e-9, lam = 0 after minutes); stand in for it
@@ -348,6 +375,20 @@ class TestBuilders:
         p = build_params(ExperimentConfig(d=4, q=0.01, L=100.0, solver="ode"), quad)
         assert p.alpha == pytest.approx(2.0 * math.sqrt(1.0), rel=1e-12)
         assert p.beta == pytest.approx(0.1, rel=1e-12)
+
+
+def _instance_bits(obj, x0) -> tuple:
+    """The bytes of an objective's constants, of its oracles at two points
+    and of the start point x0."""
+    composite = isinstance(obj, CompositeObjective)
+    smooth = obj.smooth if composite else obj
+    values = [smooth.lipschitz, smooth.strong_convexity, smooth.pl_constant,
+              obj.qg_constant, obj.min_value, obj.minimizer, x0]
+    for x in (np.linspace(-1.0, 2.0, smooth.dimension), x0):
+        values += [smooth.eval(x), smooth.grad(x)]
+        if composite:
+            values += [obj.prox_term.eval(x), obj.prox_term.prox(x, 0.1)]
+    return tuple(None if v is None else np.asarray(v, dtype=float).tobytes() for v in values)
 
 
 class TestRunExperiment:
@@ -634,6 +675,38 @@ def _bench_smoke(workload: str, trace: int) -> tuple[dict, str]:
     return result["metrics"], proc.stderr
 
 
+# Inputs the problem table refuses before any instance is built: an unknown
+# problem read from a file, a solver or regime the problem does not admit,
+# and a generated instance with one curvature.
+_REFUSED_UNBUILT = {
+    "cubic-config-sweep": ["sweep", "--config", "{inputs}/cubic.cfg"],
+    "cubic-config-rates": ["rates", "--config", "{inputs}/cubic.cfg"],
+    "lasso-agm": ["solve", "--problem", "lasso", "--solver", "agm", "--q", "1e-5",
+                  "--d", "5", "--lam", "0"],
+    "lasso-ode": ["sweep", "--problem", "lasso", "--solver", "ode", "--q", "1e-4",
+                  "--d", "5", "--lam", "0", "--omega", "0,1"],
+    "quadratic-pgm": ["solve", "--problem", "quadratic", "--d", "4", "--solver", "pgm"],
+    "lasso-pl": ["solve", "--problem", "lasso", "--regime", "pl", "--q", "1e-5",
+                 "--d", "5", "--lam", "0"],
+    "pl_sine-sc": ["ode", "--problem", "pl_sine", "--regime", "sc"],
+    "lasso-d1": ["solve", "--problem", "lasso", "--d", "1"],
+}
+
+
+def _rejected(tmp_path, capsys, argv) -> str:
+    """stderr of main(argv), asserting exit 2 and no output directory."""
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    (inputs / "latin1.cfg").write_bytes("# d\xe9faut\nd = 4\n".encode("latin-1"))
+    (inputs / "cubic.cfg").write_text("problem = cubic\n")
+    argv = [arg.format(inputs=inputs) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert not out.exists()
+    return err
+
+
 class TestCli:
     def test_solve_and_exit_zero(self, tmp_path, capsys):
         rc = main(["solve", "--problem", "quadratic", "--d", "4", "--q", "0.1",
@@ -762,6 +835,7 @@ class TestCli:
         # L (1 + alpha beta) overflows: the default dt is finite and tiny,
         # so the row limit refuses the run
         ["ode", "--problem", "quadratic", "--d", "3", "--beta", "1e306"],
+        *_REFUSED_UNBUILT.values(),
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
@@ -769,15 +843,32 @@ class TestCli:
             "flow-pl-omega-grid", "alike-named-omega-grid",
             "overflowing-sc-gamma", "overflowing-qg-gamma",
             "overflowing-pl-gamma", "overflowing-sc-theta-floor",
-            "overflowing-qg-theta-floor", "overflowing-stiffness"])
+            "overflowing-qg-theta-floor", "overflowing-stiffness", *_REFUSED_UNBUILT])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
-        inputs, out = tmp_path / "inputs", tmp_path / "out"
-        inputs.mkdir()
-        (inputs / "latin1.cfg").write_bytes("# d\xe9faut\nd = 4\n".encode("latin-1"))
-        argv = [arg.format(inputs=inputs) for arg in argv]
-        assert main(argv + ["--out", str(out)]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert not out.exists()
+        _rejected(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("argv", _REFUSED_UNBUILT.values(), ids=_REFUSED_UNBUILT)
+    def test_table_refusals_build_no_instance(self, tmp_path, capsys, monkeypatch, argv):
+        # an instance may take seconds to build (the lasso's reference
+        # minimizer), so what the table refuses must never reach the build
+        def no_build(config):
+            raise AssertionError(f"built a {config.problem} instance")
+
+        monkeypatch.setattr(momcert.harness, "build_problem", no_build)
+        _rejected(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("problem,flags,message", [
+        ("lasso", ["--solver", "agm"],
+         "solver 'agm' needs a smooth objective, and lasso is composite"),
+        ("quadratic", ["--solver", "pgm"],
+         "solver 'pgm' needs a composite objective, and quadratic is smooth"),
+        ("lasso", ["--regime", "pl"], "regime 'pl' does not apply to lasso, which admits sc, qg"),
+        ("pl_sine", [], "regime 'sc' does not apply to pl_sine, which admits pl"),
+    ], ids=["lasso-agm", "quadratic-pgm", "lasso-pl", "pl_sine-sc"])
+    def test_refusal_names_the_need_and_the_problem(self, tmp_path, capsys, problem,
+                                                    flags, message):
+        err = _rejected(tmp_path, capsys, ["solve", "--problem", problem, "--d", "4", *flags])
+        assert err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("flags", [["--alpha", "1e150", "--beta", "1e-150"],
                                        ["--beta", "1e306", "--dt", "1e-3"]],

@@ -361,6 +361,8 @@ class TestCertify:
         assert s["certificates_checked"] == 10
         assert failed_checks(tr)[0].tolist() == [4, 5, 6, 7, 8, 9, -1]
         assert s["certificates_failed"] == 7 and not s["envelope_slack"] >= 0
+        # the minimum is NaN too, not the smallest finite slack before it
+        assert math.isnan(s["min_certificate_slack"])
 
     def test_overflowing_integrator_allowance_is_infinite(self):
         # Lambda dt = 3.2e152, so (Lambda dt)^4 overflows: every step check
