@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgmState:
     """Iterate k of the recursion: x_k, y_k, v_k and the cached gradient.
 
@@ -124,7 +124,6 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
     v_next = (
         state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
     ) / (1.0 + ah)
-    # positional: a frozen dataclass pays per keyword on this per-step path
     return AgmState(state.k + 1, x_next, y_next, v_next, g_next, h * h * g_next,
                     float(g_next.dot(g_next)), max(state.x_norm_max, math.sqrt(sq)))
 

@@ -8,6 +8,7 @@ needed, so the driver itself never calls the oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from array import array
@@ -50,10 +51,10 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     step     column 0 of row k holds k * step
     gap      the objective value at the state's own iterate, which feeds
              the blow-up rule and final_gap
-    best_of  per objective value, the raw values whose best it is
-             measured against when not certified (else f*)
+    best_of  per objective value (at most two), the raw values whose
+             best it is measured against when not certified (else f*)
     blowup   a certified run ends at a gap above blowup * max(1, gap_0)
-    bound    bound(gap_0, k) fills bound_column of a certified run
+    bound    bound(gap_0, n), n floats, fills bound_column of a certified run
     head     solver-specific summary entries, read once the last row is in
 
     A non-finite objective value ends the run at its row; a DivergenceError
@@ -68,28 +69,26 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     certified = bool(certify and obj.minimizer is not None and fstar is not None)
     aborted_at: Optional[int] = None
 
-    buf = array("d")  # the rows, flat: cheaper per step than a numpy row write
     it = rows(certified)
-    n = 0
+    last, isfinite = len(best_of) - 1, math.isfinite
     # the run ends at its first non-finite value, so overflow warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_rows):
-            try:
-                row = next(it)
-            except DivergenceError as err:
-                aborted_at = err.k
-                break
-            if k == 0:
-                gap0 = row[0] - fstar if certified else math.nan
-                cap = blowup * max(1.0, gap0)
-                width = 1 + len(row)
-            buf.extend(row)
-            n = k + 1
-            if not all(map(math.isfinite, row[:len(best_of)])) or (
-                certified and row[gap] - fstar > cap
-            ):
-                aborted_at = k
-                break
+        row = next(it)
+        gap0 = row[0] - fstar if certified else math.nan
+        cap = blowup * max(1.0, gap0)
+        width = 1 + len(row)
+        buf = array("d")  # the rows, flat: cheaper per step than a numpy row write
+        try:
+            for row in itertools.chain((row,), itertools.islice(it, n_rows - 1)):
+                buf.extend(row)
+                if not (isfinite(row[0]) and isfinite(row[last])) or (
+                    certified and row[gap] - fstar > cap
+                ):
+                    aborted_at = len(buf) // (width - 1) - 1
+                    break
+        except DivergenceError as err:
+            aborted_at = err.k
+    n = len(buf) // (width - 1)
 
     data = np.full((n, len(columns)), np.nan)
     data[:, 0] = np.arange(n) * step
@@ -98,7 +97,7 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     values = data[:, 1:1 + len(best_of)]
     if certified:
         values -= fstar
-        data[:, columns.index(bound_column)] = [bound(gap0, k) for k in range(n)]
+        data[:, columns.index(bound_column)] = bound(gap0, n)
     else:
         best = np.nanmin(values, axis=0).tolist()
         values -= [min(best[i] for i in cols) for cols in best_of]
@@ -148,6 +147,6 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
         lambda certified: rows(obj, params, x0, certified), iters + 1,
         columns=DISCRETE_COLUMNS, step=1, gap=gap, best_of=best_of,
         blowup=_BLOWUP_FACTOR, bound_column="theorem_bound",
-        bound=lambda gap0, k: pref * gap0 / q ** k,
+        bound=lambda gap0, n: [pref * gap0 / q ** k for k in range(n)],
         head=head,
     )

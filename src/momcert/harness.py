@@ -8,9 +8,10 @@ runs of the same configuration and seed produce byte-identical CSVs.
 
 Exit status contract for the CLI: 0 on success, 1 if any runtime
 certificate failed or a run diverged, 2 for configuration errors. The
-config's rules, the admissible (problem, solver, regime) triples among
-them, are checked before any compute; an unbuildable instance and a bundle
-constructor's refusal are reported after the build. The default output
+config's rules, among them the admissible (problem, solver, regime)
+triples and output files that can be written, are checked before any
+compute; an unbuildable instance, a bundle constructor's refusal and a
+write that fails anyway are reported after it. The default output
 directory is taken from the MOMCERT_OUT environment variable when set.
 """
 
@@ -354,6 +355,9 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     `built`, the config's (objective, start point, bundle), skips building.
     """
     config = replace(config).validated()
+    if write:
+        base = _default_basename(config)
+        paths = _out_paths(config, config.csv or f"{base}.csv", config.json or f"{base}.json")
     obj, x0 = built[:2] if built else build_problem(config)
     bundle = built[2] if built else build_params(config, obj)
     solver = config.resolved_solver()
@@ -379,22 +383,33 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     }
 
     if write:
-        out_dir = _out_dir(config)
-        base = _default_basename(config)
-        csv_path = out_dir / (config.csv or f"{base}.csv")
-        json_path = out_dir / (config.json or f"{base}.json")
-        trace.summary["csv_path"] = str(csv_path)
-        trace.summary["json_path"] = str(json_path)
-        trace.write_csv(csv_path)
-        trace.write_json(json_path)
+        trace.summary["csv_path"], trace.summary["json_path"] = map(str, paths)
+        _write(paths[0], trace.write_csv)
+        _write(paths[1], trace.write_json)
     return trace
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    """The output directory, created if needed: out, else $MOMCERT_OUT, else cwd."""
+def _out_paths(config: ExperimentConfig, *names: str) -> list[Path]:
+    """The output directory's files `names`; ConfigError, creating nothing, if unwritable."""
     out_dir = Path(config.out or os.environ.get(OUT_ENV_VAR) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    made = (out_dir, *out_dir.parents)[:-1]  # _write may make these, no other directory
+    for path in (paths := [out_dir / name for name in names]):
+        home = Path(os.path.normpath(path.parent))
+        while home in made and not home.exists():
+            home = home.parent
+        if path.is_dir() or not (home.is_dir() and os.access(home, os.W_OK | os.X_OK)):
+            why = "it is a directory" if path.is_dir() else f"{home} is not a writable directory"
+            raise ConfigError(f"cannot write {path}: {why}")
+    return paths
+
+
+def _write(path: Path, write) -> None:
+    """write(path), making the output directory first; OSError is ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
 
 
 def exit_code_for(trace: Trace) -> int:
@@ -639,17 +654,17 @@ def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
     table only when --csv names it. Exits with the worst run's exit code."""
     configs = _sweep_configs(args)
     base = configs[0]
+    name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
+    paths = _out_paths(base, name) if name else []
     # --csv names the sweep table; traces keep their default basenames
     rows = rate_table([replace(c, csv=None, json=None) for c in configs],
                       write_traces=sweep)
-    name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
-    if name:
-        out_dir = _out_dir(base)
-        rate_table_csv(rows, out_dir / name)
+    for path in paths:
+        _write(path, lambda path: rate_table_csv(rows, path))
     if not base.quiet:
         print(rate_table_text(rows))
         if sweep:
-            print(f"wrote {out_dir / name}")
+            print(f"wrote {paths[0]}")
     return max(r["exit_code"] for r in rows)
 
 

@@ -64,8 +64,9 @@ def _coefficients(params: OdeParams) -> tuple[float, float, float]:
 
 
 def _field(x, z, grad, c):
+    nbeta, nalpha, cg = c
     g = grad(x)
-    return z + c[0] * g, c[1] * z + c[2] * g
+    return z + nbeta * g, nalpha * z + cg * g
 
 
 def _all_finite(v) -> bool:
@@ -80,12 +81,13 @@ def rk4_step(x, z, dt: float, grad, c, k: int):
     non-finite result raises DivergenceError carrying k, the index of the
     sample the step produces on the grid t = k dt.
     """
+    half, sixth = 0.5 * dt, dt / 6.0
     k1x, k1z = _field(x, z, grad, c)
-    k2x, k2z = _field(x + 0.5 * dt * k1x, z + 0.5 * dt * k1z, grad, c)
-    k3x, k3z = _field(x + 0.5 * dt * k2x, z + 0.5 * dt * k2z, grad, c)
+    k2x, k2z = _field(x + half * k1x, z + half * k1z, grad, c)
+    k3x, k3z = _field(x + half * k2x, z + half * k2z, grad, c)
     k4x, k4z = _field(x + dt * k3x, z + dt * k3z, grad, c)
-    x = x + dt / 6.0 * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
-    z = z + dt / 6.0 * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z)
+    x = x + sixth * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x)
+    z = z + sixth * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z)
     finite = math.isfinite if type(x) is float else _all_finite
     # x + z is finite unless x or z is, or the sum of two finite ones overflows
     if not (finite(x + z) or (finite(x) and finite(z))):
@@ -129,14 +131,14 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     else:
         x, z = x0, np.zeros(x0.size)
     c = _coefficients(params)
+    f = feval(x)
+    summary["eps0"] = eps = ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
+    summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan
+    yield f, eps
     for k in itertools.count(1):
-        f = feval(x)
-        eps = ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
-        if k == 1:
-            summary["eps0"] = eps
-            summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan
-        yield f, eps
         x, z = rk4_step(x, z, dt, grad, c, k)
+        f = feval(x)
+        yield f, ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
 
 
 def ode_run(
@@ -174,14 +176,14 @@ def ode_run(
     # an unbounded step count is left for the row limit to refuse
     n = max(1, math.ceil(steps - 1e-12)) if math.isfinite(steps) else steps
     dt = horizon / n
-    rate = params.decay_rate
+    rate, pref, exp = params.decay_rate, params.prefactor, math.exp
     own = {
         "beta": params.beta,
         "gamma": params.gamma,
         "theta": params.theta,
         "L": obj.lipschitz,
         "decay_rate": rate,
-        "prefactor": params.prefactor,
+        "prefactor": pref,
         "horizon": horizon,
         "dt": dt,
     }
@@ -190,6 +192,6 @@ def ode_run(
         lambda certified: _samples(obj, params, x0, dt, certified, own), n + 1,
         columns=ODE_COLUMNS, step=dt, gap=0, best_of=((0,),), blowup=math.inf,
         bound_column="envelope",
-        bound=lambda gap0, k: params.prefactor * gap0 * math.exp(-rate * (k * dt)),
+        bound=lambda gap0, n: [pref * gap0 * exp(-rate * (k * dt)) for k in range(n)],
         head=own,
     )

@@ -155,17 +155,19 @@ def quadratic_problem(
 
 
 def _sine_f(x) -> float:
-    u = x if type(x) is float else float(x[0]) if isinstance(x, np.ndarray) else x
-    if -1e154 < u < 1e154:
-        return u ** 2 + 3.0 * math.sin(u) ** 2
-    return float(np.float64(u) ** 2 + 3.0 * np.sin(u) ** 2)
+    if type(x) is not float:  # a (1,) array
+        return _sine_f(float(x[0]))
+    if -1e154 < x < 1e154:
+        return x ** 2 + 3.0 * math.sin(x) ** 2
+    return float(np.float64(x) ** 2 + 3.0 * np.sin(x) ** 2)
 
 
 def _sine_grad(x):
-    u = x if type(x) is float else float(x[0]) if isinstance(x, np.ndarray) else x
-    g = (2.0 * u + 3.0 * math.sin(2.0 * u) if -1e154 < u < 1e154
-         else float(2.0 * np.float64(u) + 3.0 * np.sin(2.0 * u)))
-    return g if u is x else np.array([g])  # u is x unless x is an array
+    if type(x) is not float:  # a (1,) array
+        return np.array([_sine_grad(float(x[0]))])
+    if -1e154 < x < 1e154:
+        return 2.0 * x + 3.0 * math.sin(2.0 * x)
+    return float(2.0 * np.float64(x) + 3.0 * np.sin(2.0 * x))
 
 
 def pl_sine_problem() -> SmoothObjective:
@@ -214,6 +216,11 @@ def lasso_problem(a: np.ndarray, b: np.ndarray, lam: float) -> CompositeObjectiv
         )
     mu = float(sv[-1] ** 2)
     big_l = float(sv[0] ** 2)
+    # A on a 64-byte boundary: off it, OpenBLAS A x and A'r ran up to 1.5x slower (Xeon)
+    buf = np.empty(a.size + 8)
+    i = -buf.ctypes.data % 64 // 8
+    buf[i:i + a.size] = a.ravel()
+    a = buf[i:i + a.size].reshape(a.shape)
 
     def f(x: np.ndarray) -> float:
         r = a.dot(x) - b

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PgmState:
     """Index k holds x_k (x_prev), x_{k+1} (x_curr), y_k, v_k and g = G_s(y_k).
 
@@ -81,14 +81,7 @@ def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> Pgm
     # ||x||^2 is finite unless an entry is, or the squares of finite ones overflow
     if not (math.isfinite(x_next.dot(x_next)) or np.isfinite(x_next).all()):
         raise DivergenceError(state.k + 1, "iterate is not finite")
-    return PgmState(
-        k=state.k + 1,
-        x_prev=state.x_curr,
-        x_curr=x_next,
-        y=y_next,
-        v=(x_next - state.x_curr) / h,
-        g=g,
-    )
+    return PgmState(state.k + 1, state.x_curr, x_next, y_next, (x_next - state.x_curr) / h, g)
 
 
 def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndarray,

@@ -7,11 +7,22 @@ a smooth objective to the composite solver for the equivalence tests.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from momcert import CompositeObjective, ProxTerm, SmoothObjective, grad_mapping
+
+
+def state_snapshot(state) -> list:
+    """Each field of a solver state: its object, and its bytes if an array.
+
+    Two snapshots compare equal exactly when no field was rebound and no
+    array was written in place in between.
+    """
+    return [(name, id(v), v.tobytes() if isinstance(v, np.ndarray) else v)
+            for name, v in ((f.name, getattr(state, f.name)) for f in fields(state))]
 
 
 def zero_prox() -> ProxTerm:

@@ -5,6 +5,7 @@ iteration directly, sharing no code with `agm_step`, and the two are
 required to produce the same orbit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,8 @@ from momcert import (
     pl_sine_problem,
     quadratic_problem,
 )
+
+from _reference import state_snapshot
 
 
 def _velocity_form_orbit(obj, params, x0, n):
@@ -137,6 +140,25 @@ class TestStep:
             nxt = agm_step(agm_init(flat, p, np.full(d, 1e200)), flat, p)
             assert nxt.x.dot(nxt.x) == np.inf
         assert np.array_equal(nxt.x, np.full(d, 1e200))
+
+    @pytest.mark.parametrize("make", [
+        lambda: agm_params_sc(1.0, 100.0, 2.0, 1.0),
+        lambda: agm_params_pl(1.0, 100.0),
+    ])
+    def test_init_and_step_leave_their_inputs_unchanged(self, make):
+        # the states are mutable slotted dataclasses: nothing may write them
+        p = make()
+        obj = quadratic_problem(np.geomspace(1.0, 100.0, 5), np.arange(5.0), seed=3)
+        x0 = obj.minimizer + np.linspace(-2.0, 2.0, 5)
+        before = x0.tobytes()
+        st = agm_init(obj, p, x0)
+        assert x0.tobytes() == before
+        for _ in range(30):
+            snap = state_snapshot(st)
+            nxt = agm_step(st, obj, p)
+            assert state_snapshot(st) == snap
+            st = nxt
+        assert x0.tobytes() == before
 
     def test_nan_iterate_raises_at_the_step_it_makes(self):
         obj = quadratic_problem([1.0, 4.0], [1.0, 2.0])
@@ -276,6 +298,28 @@ class TestRun:
         obj = quadratic_problem([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             agm_run(obj, agm_params_sc(1.0, 2.0, 1.0, 0.0), np.zeros(2), 0)
+
+    @pytest.mark.parametrize("threshold", [0.8, 0.3])
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_non_finite_lookahead_value_ends_the_run_at_its_row(self, threshold, certify):
+        # f = x^2 / 2 from x0 = 1 with h^2 = 1/4, so y_{k+1} = 3 x_k / 4: the
+        # value at y_{k+1} turns infinite (below the threshold) while the
+        # value at x_k is still finite
+        quad = quadratic_problem([1.0], [0.0])
+        obj = replace(quad, eval=lambda x: math.inf if x[0] < threshold else quad.eval(x))
+        p = agm_params_sc(1.0, 4.0, 1.0, 0.0)
+        x0 = np.ones(1)
+        st, k = agm_init(obj, p, x0), 0
+        while math.isfinite(obj.eval(st.x - st.hg)):
+            st, k = agm_step(st, obj, p), k + 1
+        assert math.isfinite(obj.eval(st.x))
+        assert k == (0 if threshold == 0.8 else 5)
+        run = obj if certify else replace(obj, minimizer=None, min_value=None)
+        tr = agm_run(run, p, x0, 50)
+        assert tr.summary["certified"] == certify
+        assert tr.summary["aborted_at"] == k and tr.n_rows == k + 1
+        assert math.isinf(tr.column("f_gap_y")[k])
+        assert np.all(np.isfinite(tr.column("f_gap_x")[:k + 1]))
 
 
 class TestNesterovEquivalence:

@@ -692,15 +692,36 @@ _REFUSED_UNBUILT = {
     "lasso-d1": ["solve", "--problem", "lasso", "--d", "1"],
 }
 
+# Output files that could not be written, refused before any instance is
+# built: an output directory under a file, a trace file in a directory that
+# does not exist or that is a directory, and a table likewise.
+_UNWRITABLE = {
+    "out-under-a-file": ["solve", "--d", "3", "-k", "5", "--out", "{inputs}/cubic.cfg/x"],
+    "csv-in-missing-dir": ["solve", "--d", "3", "-k", "5", "--csv", "sub/x.csv"],
+    "json-in-missing-dir": ["solve", "--d", "3", "-k", "5", "--json", "nodir/y.json"],
+    "csv-is-a-directory": ["solve", "--d", "3", "-k", "5", "--csv", "{inputs}"],
+    "sweep-table-in-missing-dir": ["sweep", "--d", "3", "-k", "5", "--gamma", "1,2",
+                                   "--csv", "sub/t.csv"],
+    "rates-table-in-missing-dir": ["rates", "--d", "3", "-k", "5", "--gamma", "1,2",
+                                   "--csv", "sub/t.csv"],
+}
+
+
+def _no_build(config):
+    raise AssertionError(f"built a {config.problem} instance")
+
 
 def _rejected(tmp_path, capsys, argv) -> str:
-    """stderr of main(argv), asserting exit 2 and no output directory."""
+    """stderr of main(argv), asserting exit 2 and no output directory.
+
+    The output directory goes first, so that an --out in argv wins.
+    """
     inputs, out = tmp_path / "inputs", tmp_path / "out"
     inputs.mkdir()
     (inputs / "latin1.cfg").write_bytes("# d\xe9faut\nd = 4\n".encode("latin-1"))
     (inputs / "cubic.cfg").write_text("problem = cubic\n")
     argv = [arg.format(inputs=inputs) for arg in argv]
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert not out.exists()
@@ -836,6 +857,7 @@ class TestCli:
         # so the row limit refuses the run
         ["ode", "--problem", "quadratic", "--d", "3", "--beta", "1e306"],
         *_REFUSED_UNBUILT.values(),
+        *_UNWRITABLE.values(),
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
@@ -843,7 +865,8 @@ class TestCli:
             "flow-pl-omega-grid", "alike-named-omega-grid",
             "overflowing-sc-gamma", "overflowing-qg-gamma",
             "overflowing-pl-gamma", "overflowing-sc-theta-floor",
-            "overflowing-qg-theta-floor", "overflowing-stiffness", *_REFUSED_UNBUILT])
+            "overflowing-qg-theta-floor", "overflowing-stiffness", *_REFUSED_UNBUILT,
+            *_UNWRITABLE])
     def test_rejected_inputs_exit_two(self, tmp_path, capsys, argv):
         _rejected(tmp_path, capsys, argv)
 
@@ -851,11 +874,43 @@ class TestCli:
     def test_table_refusals_build_no_instance(self, tmp_path, capsys, monkeypatch, argv):
         # an instance may take seconds to build (the lasso's reference
         # minimizer), so what the table refuses must never reach the build
-        def no_build(config):
-            raise AssertionError(f"built a {config.problem} instance")
-
-        monkeypatch.setattr(momcert.harness, "build_problem", no_build)
+        monkeypatch.setattr(momcert.harness, "build_problem", _no_build)
         _rejected(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("argv", _UNWRITABLE.values(), ids=_UNWRITABLE)
+    def test_unwritable_outputs_build_no_instance(self, tmp_path, capsys, monkeypatch,
+                                                  argv):
+        # a sweep writes from forked children, so a check after the build
+        # would come after the whole grid had run
+        monkeypatch.setattr(momcert.harness, "build_problem", _no_build)
+        err = _rejected(tmp_path, capsys, argv)
+        assert err.startswith("configuration error: cannot write ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_missing_output_directory_is_made_with_its_parents(self, tmp_path):
+        # a file named past the new directory, through "..", is writable too
+        out = tmp_path / "a" / "b"
+        assert main(["solve", "--d", "3", "-k", "5", "--quiet", "--out", str(out),
+                     "--csv", "../t.csv"]) == 0
+        assert (tmp_path / "a" / "t.csv").is_file()
+        assert (out / "quadratic_agm_sc_g1_w0_s0.json").is_file()
+
+    @pytest.mark.parametrize("argv,target", [
+        (["solve"], "momcert.trace.Trace.write_json"),
+        (["sweep", "--gamma", "1,2"], "momcert.trace.Trace.write_csv"),
+        (["rates", "--gamma", "1,2", "--csv", "t.csv"], "momcert.harness.rate_table_csv"),
+    ], ids=["solve", "sweep-member", "rates-table"])
+    def test_write_time_os_error_exits_two(self, tmp_path, capsys, monkeypatch, argv,
+                                           target):
+        # a path that passed the check can still fail when it is written
+        def fail(*args):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(target, fail)
+        assert main([*argv, "--d", "3", "-k", "5", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write ")
+        assert err.endswith("Permission denied\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("problem,flags,message", [
         ("lasso", ["--solver", "agm"],

@@ -34,7 +34,7 @@ from momcert import (
 )
 from momcert.harness import build_params, build_problem
 
-from _reference import composite_from_smooth, prox_descent_check
+from _reference import composite_from_smooth, prox_descent_check, state_snapshot
 
 
 def _lasso_instance(seed=12, rows=20, cols=6, lam=2.0):
@@ -205,6 +205,22 @@ class TestStep:
             nxt = pgm_step(pgm_init(flat, p, np.full(d, 1e200)), flat, p)
             assert nxt.x_curr.dot(nxt.x_curr) == np.inf
         assert np.array_equal(nxt.x_curr, np.full(d, 1e200))
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_init_and_step_leave_their_inputs_unchanged(self, omega):
+        # the states are mutable slotted dataclasses: nothing may write them
+        obj = _lasso_instance()
+        p = pgm_params_sc(obj.smooth.strong_convexity, obj.smooth.lipschitz, omega)
+        x0 = np.full(6, 2.0)
+        before = x0.tobytes()
+        st = pgm_init(obj, p, x0)
+        assert x0.tobytes() == before
+        for _ in range(30):
+            snap = state_snapshot(st)
+            nxt = pgm_step(st, obj, p)
+            assert state_snapshot(st) == snap
+            st = nxt
+        assert x0.tobytes() == before
 
     def test_nan_iterate_raises_at_the_step_it_makes(self):
         obj = _lasso_instance()
