@@ -356,8 +356,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     """
     config = replace(config).validated()
     if write:
-        base = _default_basename(config)
-        paths = _out_paths(config, config.csv or f"{base}.csv", config.json or f"{base}.json")
+        paths = _trace_paths(config)
     obj, x0 = built[:2] if built else build_problem(config)
     bundle = built[2] if built else build_params(config, obj)
     solver = config.resolved_solver()
@@ -387,6 +386,12 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
         _write(paths[0], trace.write_csv)
         _write(paths[1], trace.write_json)
     return trace
+
+
+def _trace_paths(config: ExperimentConfig) -> list[Path]:
+    """The run's trace CSV and summary JSON; ConfigError if either is unwritable."""
+    base = _default_basename(config)
+    return _out_paths(config, config.csv or f"{base}.csv", config.json or f"{base}.json")
 
 
 def _out_paths(config: ExperimentConfig, *names: str) -> list[Path]:
@@ -657,8 +662,11 @@ def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
     name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
     paths = _out_paths(base, name) if name else []
     # --csv names the sweep table; traces keep their default basenames
-    rows = rate_table([replace(c, csv=None, json=None) for c in configs],
-                      write_traces=sweep)
+    members = [replace(c, csv=None, json=None) for c in configs]
+    if sweep:  # every trace name too, so a refused sweep writes nothing
+        for member in members:
+            _trace_paths(member)
+    rows = rate_table(members, write_traces=sweep)
     for path in paths:
         _write(path, lambda path: rate_table_csv(rows, path))
     if not base.quiet:

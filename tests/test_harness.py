@@ -803,10 +803,10 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     def test_lasso_past_the_reference_cap_exits_two_at_once(self, tmp_path, capsys):
-        # kappa = 1e9 would need about 3e10 reference steps; the estimate
-        # refuses the instance before the loop instead of after 10^7 steps
+        # kappa = 1e13 would need about 1e8 accelerated reference steps; the
+        # estimate refuses the instance before the loop instead of after 10^7
         start = time.perf_counter()
-        rc = main(["solve", "--problem", "lasso", "--q", "1e-9", "--d", "5",
+        rc = main(["solve", "--problem", "lasso", "--q", "1e-13", "--d", "5",
                    "--lam", "0", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 2.0
         assert rc == 2
@@ -886,6 +886,20 @@ class TestCli:
         err = _rejected(tmp_path, capsys, argv)
         assert err.startswith("configuration error: cannot write ")
         assert err.count("\n") == 1  # one line, no traceback
+
+    def test_sweep_with_an_unwritable_member_trace_writes_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the g = 2 member's trace name is a directory: refused before the
+        # build, not after the g = 1 member has written its files
+        blocker = tmp_path / "quadratic_agm_sc_g2_w0_s0.csv"
+        blocker.mkdir()
+        monkeypatch.setattr(momcert.harness, "build_problem", _no_build)
+        assert main(["sweep", "--d", "3", "-k", "5", "--gamma", "1,2",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == [blocker]
 
     def test_missing_output_directory_is_made_with_its_parents(self, tmp_path):
         # a file named past the new directory, through "..", is writable too

@@ -26,6 +26,7 @@ from momcert import (
     reference_minimizer,
     soft_threshold,
 )
+from momcert.harness import ExperimentConfig, build_problem
 from momcert.oracle import _sine_f, _sine_grad
 
 from _reference import composite_from_smooth, finite_diff_gradient_check
@@ -297,18 +298,58 @@ class TestReferenceMinimizer:
             reference_minimizer(obj, tol=1e-13, max_iter=1)
 
     def test_hopeless_conditioning_is_refused_after_one_mapping(self):
-        # kappa = 1e9 needs about 3e10 steps to reach 1e-12 from ||G_0|| ~ 1,
-        # far past the cap: refused on the first mapping, not after 10^7
-        smooth = quadratic_problem([1e-9, 1.0], [1.0, 1.0])
+        # kappa = 1e13 needs about sqrt(kappa) log(1e12) ~ 9e7 accelerated
+        # steps to reach 1e-12 from ||G_0|| ~ 1, past the cap: refused on the
+        # first mapping, not after 10^7
+        smooth = quadratic_problem([1e-13, 1.0], [1.0, 1.0])
         calls = []
         counted = replace(smooth, grad=lambda x: calls.append(1) or smooth.grad(x))
         with pytest.raises(RuntimeError, match="did not reach"):
             reference_minimizer(composite_from_smooth(counted))
         assert len(calls) == 1
-        # at kappa = 100 the estimate (about 3e3 steps) is far under the cap
+        # at kappa = 100 the estimate (about 3e2 steps) is far under the cap
         x, _ = reference_minimizer(composite_from_smooth(
             quadratic_problem([0.01, 1.0], [1.0, 1.0])))
         np.testing.assert_allclose(x, [100.0, 1.0], rtol=1e-9)
+
+    def test_zero_penalty_square_matrix_matches_solve(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6))
+        b = rng.standard_normal(6)
+        expected = np.linalg.solve(a, b)
+        xstar = lasso_problem(a, b, 0.0).minimizer
+        assert np.linalg.norm(xstar - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_default_penalty_minimizer_meets_l1_kkt(self):
+        # the CLI's d = 200 instance at its default penalty 0.3 max|A'b|;
+        # x*'s zero coordinates must be exact zeros, since the active set is
+        # read from x* != 0
+        obj, _ = build_problem(ExperimentConfig(problem="lasso", d=200, seed=3))
+        grad = obj.smooth.grad
+        lam = 0.3 * float(np.max(np.abs(grad(np.zeros(200)))))
+        xstar = obj.minimizer
+        g = grad(xstar)
+        active = xstar != 0.0
+        assert 0 < active.sum() < xstar.size
+        resid = np.where(active, np.abs(g + lam * np.sign(xstar)),
+                         np.maximum(np.abs(g) - lam, 0.0))
+        assert np.max(resid) <= 1e-9 * max(1.0, lam)
+
+    def test_ill_conditioned_cli_instance_builds_in_few_mappings(self, monkeypatch):
+        # q = mu / L = 1e-5 needs about sqrt(1 / q) log(||G_0|| / tol), some
+        # 10^4 accelerated mappings; unaccelerated it took 2.49e6
+        calls = []
+
+        def counted(obj, *args):
+            grad = obj.smooth.grad
+            smooth = replace(obj.smooth, grad=lambda x: calls.append(1) or grad(x))
+            return reference_minimizer(replace(obj, smooth=smooth), *args)
+
+        monkeypatch.setattr("momcert.oracle.reference_minimizer", counted)
+        obj, _ = build_problem(ExperimentConfig(problem="lasso", q=1e-5, d=5, lam=0.0))
+        assert 0 < len(calls) <= 20_000
+        g = grad_mapping(obj, obj.minimizer, 1.0 / obj.smooth.lipschitz)
+        assert np.linalg.norm(g) <= 1e-12
 
 
 class TestFiniteDiff:
