@@ -75,12 +75,14 @@ def _flow_slack(trace: Trace, rate: float) -> tuple[np.ndarray, float]:
 
     env = eps0 * np.exp(-rate * t)
     noise = 8.0 * np.finfo(float).eps * (abs(eps0) + float(s.get("f_scale", 0.0)))
-    floor = 1e-14 * env + noise
-    lhs = eps[1:] * math.exp(rate * dt)
-    rhs = eps[:-1] * (1.0 + tol_step) + floor[:-1]
+    # in place, so that at most three arrays of n are alive (a sum's operands swap)
+    slack = env[:-1] * 1e-14 + noise
+    slack += eps[:-1] * (1.0 + tol_step)
+    slack -= eps[1:] * math.exp(rate * dt)
 
-    bound = env * (1.0 + _TOL_GLOB) + 1e-18 * abs(eps0)
-    return rhs - lhs, float(np.min(bound - eps))
+    env *= 1.0 + _TOL_GLOB
+    env += 1e-18 * abs(eps0)
+    return slack, float(np.min(env - eps))
 
 
 def certify_trace(trace: Trace) -> Trace:

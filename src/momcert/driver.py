@@ -29,7 +29,10 @@ DISCRETE_COLUMNS = (
 # Gaps above this multiple of the initial gap abort a certified discrete run.
 _BLOWUP_FACTOR = 1e6
 
-# 10**8 rows of five to seven float64 columns already take 4 to 5.6 GB.
+# 10**8 rows of five to seven float64 columns already take 4 to 5.6 GB, and a
+# run peaks below twice that (tracemalloc, 20,001 rows): a certified pl_sine
+# flow at 75.9 B/row for 40 B/row of data, a certified agm run at 104.2 for
+# 56, since its row buffer and its table are both alive during assembly.
 MAX_ROWS = 10**8
 
 
@@ -54,7 +57,8 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     best_of  per objective value (at most two), the raw values whose
              best it is measured against when not certified (else f*)
     blowup   a certified run ends at a gap above blowup * max(1, gap_0)
-    bound    bound(gap_0, n), n floats, fills bound_column of a certified run
+    bound    bound(gap_0, n), an iterator over n floats, fills bound_column
+             of a certified run
     head     solver-specific summary entries, read once the last row is in
 
     A non-finite objective value ends the run at its row; a DivergenceError
@@ -97,7 +101,7 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     values = data[:, 1:1 + len(best_of)]
     if certified:
         values -= fstar
-        data[:, columns.index(bound_column)] = bound(gap0, n)
+        data[:, columns.index(bound_column)] = np.fromiter(bound(gap0, n), float, n)
     else:
         best = np.nanmin(values, axis=0).tolist()
         values -= [min(best[i] for i in cols) for cols in best_of]
@@ -120,6 +124,15 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     return trace
 
 
+def _theorem_bound(b: float, q: float, n: int) -> Iterator[float]:
+    """b / q^k for k < n, from the first overflowing q^k on b * q^-k (underflows to 0)."""
+    try:
+        for k in range(n):
+            yield b / q ** k
+    except OverflowError:
+        yield from (b * q ** -j for j in range(k, n))
+
+
 def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bool,
                  rows: Callable[..., Iterator[tuple]], gap: int,
                  best_of: tuple[tuple[int, ...], ...], extra: dict) -> Trace:
@@ -127,8 +140,9 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
 
     rows(obj, params, x0, certified) yields (a, b, grad_norm, E), with a
     and b the objective values behind f_gap_x and f_gap_y. theorem_bound
-    is prefactor * gap_0 / (1 + rho)^k. The summary records A and h, from
-    which certify_trace checks each step k -> k+1 into row k's slack.
+    is prefactor * gap_0 / (1 + rho)^k (see _theorem_bound past the float
+    range). The summary records A and h, from which certify_trace checks
+    each step k -> k+1 into row k's slack.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -147,6 +161,6 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
         lambda certified: rows(obj, params, x0, certified), iters + 1,
         columns=DISCRETE_COLUMNS, step=1, gap=gap, best_of=best_of,
         blowup=_BLOWUP_FACTOR, bound_column="theorem_bound",
-        bound=lambda gap0, n: [pref * gap0 / q ** k for k in range(n)],
+        bound=lambda gap0, n: _theorem_bound(pref * gap0, q, n),
         head=head,
     )

@@ -61,10 +61,10 @@ class Trace:
                     shutil.copyfileobj(part, fh)
 
     def _blocks(self, row: str, lo: int, hi: int):
-        # blocks of rows bound the memory held by Python floats
+        # blocks of rows bound the memory held by Python floats; one % per block
         for start in range(lo, hi, 256):
-            block = self.data[start:min(start + 256, hi)].tolist()
-            yield "".join(row % tuple(r) for r in block)
+            block = self.data[start:min(start + 256, hi)]
+            yield (row * len(block)) % tuple(block.ravel().tolist())
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:

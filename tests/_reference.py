@@ -1,8 +1,9 @@
 """Reference checks and wrappers that only the tests use.
 
 None of these is on a run's path: they audit the package from outside
-(central-difference gradients, the proximal descent inequality) or adapt
-a smooth objective to the composite solver for the equivalence tests.
+(central-difference gradients, the proximal descent inequality, the
+flow's field and a classical RK4 step built from it) or adapt a smooth
+objective to the composite solver for the equivalence tests.
 """
 
 from __future__ import annotations
@@ -39,6 +40,28 @@ def composite_from_smooth(obj: SmoothObjective) -> CompositeObjective:
         min_value=obj.min_value,
         qg_constant=obj.qg_constant,
     )
+
+
+def flow_field(x, z, grad, c):
+    """The flow's field (z - beta g, -alpha z + (alpha beta - gamma) g) at g = grad(x).
+
+    c = (-beta, -alpha, alpha beta - gamma), in the module docstring's
+    operation order of `momcert.ode`.
+    """
+    nbeta, nalpha, cg = c
+    g = grad(x)
+    return z + nbeta * g, nalpha * z + cg * g
+
+
+def classical_rk4(x, z, dt: float, grad, c):
+    """One classical RK4 step of the flow, built from calls of flow_field."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1x, k1z = flow_field(x, z, grad, c)
+    k2x, k2z = flow_field(x + half * k1x, z + half * k1z, grad, c)
+    k3x, k3z = flow_field(x + half * k2x, z + half * k2z, grad, c)
+    k4x, k4z = flow_field(x + dt * k3x, z + dt * k3z, grad, c)
+    return (x + sixth * (((k1x + 2.0 * k2x) + 2.0 * k3x) + k4x),
+            z + sixth * (((k1z + 2.0 * k2z) + 2.0 * k3z) + k4z))
 
 
 def finite_diff_gradient_check(

@@ -743,6 +743,25 @@ class TestCli:
         assert rc == 0
         assert "all certificates passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "-k", "10000"],
+        ["certify", "--problem", "lasso", "--q", "0.1", "--d", "10", "-k", "3000"],
+        ["sweep", "--q", "0.1", "--d", "10", "-k", "5000", "--gamma", "1,2", "--omega", "0"],
+    ], ids=["certify-quadratic", "certify-lasso", "sweep"])
+    def test_bound_past_the_float_range(self, tmp_path, capsys, argv):
+        # (1 + rho)^k overflows a float before the last row (from k = 8,158,
+        # 2,584, and 3,297 and 2,636 in the sweep); the bound then decays to 0
+        assert main([*argv, "--quiet", "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        csvs = sorted(tmp_path.glob("*_s0.csv"))
+        assert len(csvs) == (2 if argv[0] == "sweep" else 1)
+        for path in csvs:
+            assert path.with_suffix(".json").exists()
+            bound = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+            assert len(bound) == int(argv[argv.index("-k") + 1]) + 1
+            assert np.isfinite(bound).all() and (bound >= 0).all()
+            assert (np.diff(bound) <= 0).all() and bound[-1] == 0
+
     @pytest.mark.parametrize("argv,key,envelope_listed", [
         (["--problem", "quadratic", "--d", "8", "--seed", "2", "--omega", "1",
           "-k", "300"], "A", False),

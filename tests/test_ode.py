@@ -6,6 +6,7 @@ energy decay are both measured against it.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,8 +32,10 @@ from momcert import (
     rk4_step,
 )
 from momcert.certificates import DivergenceError
-from momcert.ode import _coefficients, _field
+from momcert.ode import _coefficients
 from momcert.params import OdeParams
+
+from _reference import classical_rk4, flow_field
 
 
 def _expm_orbit(obj, params, x0, t):
@@ -64,7 +67,7 @@ class TestVectorField:
         obj = quadratic_problem([4.0], [0.0])
         p = ode_params_pl(2.0, beta=0.5, theta=1.5)
         assert p.alpha == 1.0 and p.gamma == 2.0
-        dx, dz = _field(np.array([1.0]), np.zeros(1), obj.grad, _coefficients(p))
+        dx, dz = flow_field(np.array([1.0]), np.zeros(1), obj.grad, _coefficients(p))
         np.testing.assert_allclose(dx, [-2.0])
         np.testing.assert_allclose(dz, [-6.0])
 
@@ -78,7 +81,7 @@ class TestVectorField:
             decay_rate=1.0, prefactor=2.0,
         )
         x, z = np.array([2.0]), np.array([-1.0])
-        dx, dz = _field(x, z, obj.grad, _coefficients(p))
+        dx, dz = flow_field(x, z, obj.grad, _coefficients(p))
         np.testing.assert_allclose(dx, z)
         np.testing.assert_allclose(dz, -2.0 * z - 1.5 * obj.grad(x))
 
@@ -105,6 +108,39 @@ class TestRk4:
         with np.errstate(over="ignore"):
             x, z = rk4_step(x, z, 1e-300, grad, _coefficients(p), 1)
             assert not np.isfinite(x + z).any()
+        assert np.isfinite(x).all() and np.isfinite(z).all()
+
+    @pytest.mark.parametrize("case", ["float", "(1,)", "d=3", "float-sum-overflows",
+                                      "d=3-sum-overflows"])
+    def test_bitwise_equal_to_classical_rk4_from_the_reference_field(self, case):
+        # rk4_step writes the field out at each stage; it must round exactly
+        # like RK4 built from calls of the field, on each state type
+        p = ode_params_pl(0.5, beta=0.25)
+        if case in ("float", "(1,)"):
+            obj = pl_sine_problem()
+            x, z = 1.3, -0.7
+            if case == "(1,)":
+                x, z = np.array([x]), np.array([z])
+        elif case == "d=3":
+            obj = quadratic_problem([1.0, 2.5, 4.0], [1.0, -1.0, 0.5], seed=0)
+            x, z = np.array([0.3, -1.2, 2.0]), np.array([0.1, 0.0, -0.4])
+        elif case == "float-sum-overflows":  # x + z overflows at every step
+            obj = SmoothObjective(dimension=1, eval=lambda u: 0.0,
+                                  grad=lambda u: 1e-300, lipschitz=1.0)
+            x, z = 1.7e308, 2e307
+        else:
+            obj = SmoothObjective(dimension=3, eval=lambda u: 0.0,
+                                  grad=lambda u: np.full(3, 1e-300), lipschitz=1.0)
+            x, z = np.full(3, 1.7e308), np.full(3, 2e307)
+        c = _coefficients(p)
+        for k, dt in enumerate((0.1, 1e-300, 0.37), start=1):
+            with np.errstate(over="ignore"):
+                want = classical_rk4(x, z, dt, obj.grad, c)
+                got = rk4_step(x, z, dt, obj.grad, c, k)
+            for u, v in zip(got, want):
+                assert type(u) is type(v)
+                assert np.asarray(u).tobytes() == np.asarray(v).tobytes()
+            x, z = got
         assert np.isfinite(x).all() and np.isfinite(z).all()
 
     def test_fourth_order_against_exact_flow(self):
@@ -234,6 +270,21 @@ class TestRun:
         assert s["certificates_failed"] == 0
         assert np.all(tr.column("f_gap") <=
                       tr.column("envelope") * (1.0 + 1e-6) + 1e-15)
+
+    def test_certified_flow_peaks_below_twice_its_trace(self):
+        # the float rows, the bound column and the slacks are assembled in
+        # arrays: 76 B/row here for 40 B/row of data, 96 B/row with a list
+        # of bound floats and whole-length temporaries in the slacks
+        obj = pl_sine_problem()
+        p = ode_params_pl(obj.pl_constant, beta=1.0 / math.sqrt(obj.lipschitz))
+        tracemalloc.start()
+        try:
+            tr = ode_run(obj, p, np.array([2.0]), horizon=200.0, dt=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.n_rows == 20_001 and tr.summary["certificates_failed"] == 0
+        assert peak < 2 * tr.data.nbytes
 
     def test_default_dt_formula(self):
         obj = quadratic_problem([1.0, 25.0], [0.0, 0.0])
