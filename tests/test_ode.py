@@ -133,7 +133,8 @@ class TestRk4:
                                   grad=lambda u: np.full(3, 1e-300), lipschitz=1.0)
             x, z = np.full(3, 1.7e308), np.full(3, 2e307)
         c = _coefficients(p)
-        for k, dt in enumerate((0.1, 1e-300, 0.37), start=1):
+        dts = (0.1, 1e-300, 0.37) if case.endswith("overflows") else (0.1,) * 20
+        for k, dt in enumerate(dts, start=1):
             with np.errstate(over="ignore"):
                 want = classical_rk4(x, z, dt, obj.grad, c)
                 got = rk4_step(x, z, dt, obj.grad, c, k)
@@ -272,9 +273,9 @@ class TestRun:
                       tr.column("envelope") * (1.0 + 1e-6) + 1e-15)
 
     def test_certified_flow_peaks_below_twice_its_trace(self):
-        # the float rows, the bound column and the slacks are assembled in
-        # arrays: 76 B/row here for 40 B/row of data, 96 B/row with a list
-        # of bound floats and whole-length temporaries in the slacks
+        # rows, bound column and slacks are built in arrays, with no list of
+        # floats and at most three whole-length temporaries: 76 B/row measured
+        # for 40 B/row of data
         obj = pl_sine_problem()
         p = ode_params_pl(obj.pl_constant, beta=1.0 / math.sqrt(obj.lipschitz))
         tracemalloc.start()
