@@ -61,7 +61,7 @@ class Trace:
                     shutil.copyfileobj(part, fh)
 
     def _blocks(self, row: str, lo: int, hi: int):
-        # blocks of rows bound the memory held by Python floats; one % per block
+        # blocks of rows bound the memory held by Python floats
         for start in range(lo, hi, 256):
             block = self.data[start:min(start + 256, hi)]
             yield (row * len(block)) % tuple(block.ravel().tolist())
