@@ -98,22 +98,41 @@ def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmStat
                     x_norm_max=math.sqrt(x0.dot(x0)))
 
 
+# The array kernels take their bundle scalars as 0-d float64 arrays: at d = 50 an
+# array times a Python float costs 0.39 us, times a 0-d array 0.26 us (numpy 2.4.6,
+# Xeon), through the same double loop. agm_step builds its temporaries in place,
+# with the same operations and operands (sums and products may commute): same bits.
+_coef_cache = [(None, ())]  # (bundle, its scalars); kept alive, so its id is not reused
+
+
+def _coef(params: AgmParams) -> tuple:
+    """(h, 1 + alpha h, gamma / (1 + alpha h) - 1, gamma h, h^2, 1 + xi h, xi), cached."""
+    bundle, coef = _coef_cache[0]
+    if bundle is not params:  # bundles are frozen
+        h, opah = params.h, 1.0 + params.alpha * params.h
+        coef = tuple(map(np.array, (h, opah, params.gamma / opah - 1.0, params.gamma * h,
+                                    h * h, 1.0 + params.xi * h, params.xi)))
+        _coef_cache[0] = (params, coef)
+    return coef
+
+
 def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmState:
-    h = params.h
-    ah = params.alpha * h
+    h, opah, c, gh, h2, _, _ = _coef(params)
     y_next = state.x - state.hg
-    x_next = (
-        y_next
-        + (y_next - state.y) / (1.0 + ah)
-        + (params.gamma / (1.0 + ah) - 1.0) * (y_next - state.x)
-    )
+    x_next = y_next - state.y  # y_next + (y_next - y_k) / opah + c (y_next - x_k)
+    x_next /= opah
+    x_next += y_next
+    t = y_next - state.x
+    x_next += np.multiply(c, t, out=t)
     # ||x||^2 is finite unless an entry is, or the squares of finite ones overflow
     sq = x_next.dot(x_next)
     if not (math.isfinite(sq) or np.isfinite(x_next).all()):
         raise DivergenceError(state.k + 1, "iterate is not finite")
     # The velocity recursion must reproduce the same point. Both forms carry
     # the rounding of every iterate so far, so the largest one sets the scale.
-    dv = x_next - (state.x + h * state.v)
+    dv = np.multiply(h, state.v, out=t)
+    dv += state.x
+    np.subtract(x_next, dv, out=dv)
     drift = math.sqrt(dv.dot(dv))
     if drift > 1e-12 * max(1.0, state.x_norm_max):
         raise RuntimeError(
@@ -121,10 +140,12 @@ def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmSta
             f"by {drift:.3e}"
         )
     g_next = obj.grad(x_next)
-    v_next = (
-        state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
-    ) / (1.0 + ah)
-    return AgmState(state.k + 1, x_next, y_next, v_next, g_next, h * h * g_next,
+    v_next = g_next - state.grad_x  # (v_k - h (g_next - g_k) - gamma h g_next) / opah
+    v_next *= h
+    np.subtract(state.v, v_next, out=v_next)
+    v_next -= np.multiply(gh, g_next, out=t)
+    v_next /= opah
+    return AgmState(state.k + 1, x_next, y_next, v_next, g_next, h2 * g_next,
                     float(g_next.dot(g_next)), max(state.x_norm_max, math.sqrt(sq)))
 
 
@@ -135,11 +156,11 @@ def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     Uses the expanded anchor form of phi, so everything is computable from
     (x_k, v_k, grad f(x_k)) without evaluating any extra gradient.
     """
-    h = params.h
+    h, _, _, _, _, opxh, xi = _coef(params)
     dx = state.x - xstar
-    phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
+    phi = opxh * state.v + h * state.grad_x + xi * dx
     sigma = dx - state.hg
-    psi = float(fx - fstar - 0.5 * h * h * state.grad_sq)
+    psi = float(fx - fstar - 0.5 * params.h * params.h * state.grad_sq)
     return (
         0.5 * float(phi.dot(phi))
         - 0.5 * params.eta * float(sigma.dot(sigma))

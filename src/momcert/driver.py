@@ -31,8 +31,8 @@ _BLOWUP_FACTOR = 1e6
 
 # 10**8 rows of five to seven float64 columns already take 4 to 5.6 GB, and a
 # run peaks below twice that (tracemalloc, 20,001 rows): a certified pl_sine
-# flow at 75.9 B/row for 40 B/row of data, a certified agm run at 104.2 for
-# 56, since its row buffer and its table are both alive during assembly.
+# flow at 75.9 B/row for 40 B/row of data, a certified agm run at 89.2 for 56,
+# its row buffer and its table, but no time column, alive during assembly.
 MAX_ROWS = 10**8
 
 
@@ -95,9 +95,10 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     n = len(buf) // (width - 1)
 
     data = np.full((n, len(columns)), np.nan)
-    data[:, 0] = np.arange(n) * step
     data[:, 1:width] = np.frombuffer(buf).reshape(n, width - 1)
     del buf
+    data[:, 0] = np.arange(n)  # k is exact, so k * step rounds as before
+    data[:, 0] *= step
     values = data[:, 1:1 + len(best_of)]
     if certified:
         values -= fstar

@@ -58,6 +58,7 @@ ODE_COLUMNS = ("t", "f_gap", "energy", "envelope", "certificate_slack")
 # floats (NumPy's per-call overhead on one-element arrays would cost
 # several times the arithmetic) is bit-identical to the array loop. It
 # writes the field out per stage: a call took 0.05 us of a 1.7 us float step.
+# On arrays, the coefficients come as 0-d arrays (see agm.py).
 
 
 def _coefficients(params: OdeParams) -> tuple[float, float, float]:
@@ -65,7 +66,8 @@ def _coefficients(params: OdeParams) -> tuple[float, float, float]:
 
 
 def _all_finite(v) -> bool:
-    return bool(np.isfinite(v).all())
+    # ||v||^2 is finite unless an entry is, or the squares of finite ones overflow
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def rk4_step(x, z, dt: float, grad, c, k: int):
@@ -127,13 +129,13 @@ def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
     raises DivergenceError with the index of the sample it was to produce.
     """
     xstar, fstar, grad, feval = obj.minimizer, obj.min_value, obj.grad, obj.eval
+    c = _coefficients(params)
     if obj.takes_floats:
         x, z = float(x0[0]), 0.0
         if certified:
             xstar = float(xstar[0])
     else:
-        x, z = x0, np.zeros(x0.size)
-    c = _coefficients(params)
+        x, z, c = x0, np.zeros(x0.size), tuple(map(np.array, c))
     f = feval(x)
     summary["eps0"] = eps = ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
     summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan

@@ -33,6 +33,8 @@ __all__ = [
     "soft_threshold",
 ]
 
+_HALF = np.array(0.5)  # a 0-d factor for the array objectives: see agm.py
+
 
 @dataclass(frozen=True)
 class SmoothObjective:
@@ -118,12 +120,13 @@ def quadratic_problem(
     # Seed 0 is reserved for the unrotated case so hand-checked
     # eigenbasis examples stay exact.
     u = np.eye(d) if seed == 0 else _random_orthogonal(d, np.random.default_rng(seed))
-    qmat = u.T @ (lam[:, None] * u)
-    qmat = 0.5 * (qmat + qmat.T)  # symmetrize away qr round-off
-
-    xstar = np.linalg.solve(qmat, bvec)
-    resid = np.linalg.norm(qmat @ xstar - bvec)
-    if resid > 1e-12 * max(1.0, float(np.linalg.norm(bvec))):
+    # a Q that overflows leaves a residual that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        qmat = u.T @ (lam[:, None] * u)
+        qmat = 0.5 * (qmat + qmat.T)  # symmetrize away qr round-off
+        xstar = np.linalg.solve(qmat, bvec)
+        resid = np.linalg.norm(qmat @ xstar - bvec)
+    if not resid <= 1e-12 * max(1.0, float(np.linalg.norm(bvec))):
         raise ArithmeticError(f"minimizer residual {resid:.3e} too large")
     fstar = float(0.5 * xstar @ (qmat @ xstar) - bvec @ xstar)
 
@@ -131,7 +134,7 @@ def quadratic_problem(
     big_l = float(lam.max())
 
     def f(x: np.ndarray) -> float:
-        return float((0.5 * x).dot(qmat.dot(x)) - bvec.dot(x))
+        return float((_HALF * x).dot(qmat.dot(x)) - bvec.dot(x))
 
     def df(x: np.ndarray) -> np.ndarray:
         return qmat.dot(x) - bvec
@@ -224,7 +227,7 @@ def lasso_problem(a: np.ndarray, b: np.ndarray, lam: float) -> CompositeObjectiv
 
     def f(x: np.ndarray) -> float:
         r = a.dot(x) - b
-        return float((0.5 * r).dot(r))
+        return float((_HALF * r).dot(r))
 
     def df(x: np.ndarray) -> np.ndarray:
         return a.T.dot(a.dot(x) - b)

@@ -71,24 +71,41 @@ def pgm_init(obj: CompositeObjective, params: PgmParams, x0: np.ndarray) -> PgmS
     )
 
 
+_coef_cache = [(None, ())]  # bundle scalars as 0-d arrays, as in agm.py
+
+
+def _coef(params: PgmParams) -> tuple:
+    """(h, h^2, 1 + alpha h, xi), cached."""
+    bundle, coef = _coef_cache[0]
+    if bundle is not params:
+        h = params.h
+        coef = tuple(map(np.array, (h, h * h, 1.0 + params.alpha * h, params.xi)))
+        _coef_cache[0] = (params, coef)
+    return coef
+
+
 def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> PgmState:
     """Step k -> k+1; the new state keeps the G_s(y_{k+1}) it took as g."""
-    h = params.h
-    s = h * h
-    y_next = state.x_curr + (state.x_curr - state.x_prev) / (1.0 + params.alpha * h)
+    h, s, opah, _ = _coef(params)
+    y_next = state.x_curr - state.x_prev  # x_curr + (x_curr - x_prev) / opah
+    y_next /= opah
+    y_next += state.x_curr
     g = grad_mapping(obj, y_next, s)
-    x_next = y_next - s * g
+    x_next = np.multiply(s, g)
+    np.subtract(y_next, x_next, out=x_next)
     # ||x||^2 is finite unless an entry is, or the squares of finite ones overflow
     if not (math.isfinite(x_next.dot(x_next)) or np.isfinite(x_next).all()):
         raise DivergenceError(state.k + 1, "iterate is not finite")
-    return PgmState(state.k + 1, state.x_curr, x_next, y_next, (x_next - state.x_curr) / h, g)
+    v = x_next - state.x_curr
+    v /= h
+    return PgmState(state.k + 1, state.x_curr, x_next, y_next, v, g)
 
 
 def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndarray,
                fstar: float) -> float:
     """Energy E_k of the state, given f_curr = F(x_{k+1}) and the true F*."""
     dx = state.x_curr - xstar
-    phi = state.v + params.xi * dx
+    phi = state.v + _coef(params)[3] * dx
     return (
         0.5 * float(phi.dot(phi))
         - 0.5 * params.eta * float(dx.dot(dx))

@@ -2,18 +2,28 @@
 
 None of these is on a run's path: they audit the package from outside
 (central-difference gradients, the proximal descent inequality, the
-flow's field and a classical RK4 step built from it) or adapt a smooth
-objective to the composite solver for the equivalence tests.
+flow's field and a classical RK4 step built from it, the solvers' steps
+and energies on Python float scalars) or adapt a smooth objective to the
+composite solver for the equivalence tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from momcert import CompositeObjective, ProxTerm, SmoothObjective, grad_mapping
+from momcert import (
+    AgmState,
+    CompositeObjective,
+    DivergenceError,
+    PgmState,
+    ProxTerm,
+    SmoothObjective,
+    grad_mapping,
+)
 
 
 def state_snapshot(state) -> list:
@@ -24,6 +34,84 @@ def state_snapshot(state) -> list:
     """
     return [(name, id(v), v.tobytes() if isinstance(v, np.ndarray) else v)
             for name, v in ((f.name, getattr(state, f.name)) for f in fields(state))]
+
+
+def agm_step_reference(state: AgmState, obj: SmoothObjective, params) -> AgmState:
+    """`momcert.agm_step` written with the bundle's Python floats, in one expression per array.
+
+    The kernels take their scalars as 0-d arrays and build temporaries in
+    place; both must round exactly like this.
+    """
+    h = params.h
+    ah = params.alpha * h
+    y_next = state.x - state.hg
+    x_next = (
+        y_next
+        + (y_next - state.y) / (1.0 + ah)
+        + (params.gamma / (1.0 + ah) - 1.0) * (y_next - state.x)
+    )
+    sq = x_next.dot(x_next)
+    if not (math.isfinite(sq) or np.isfinite(x_next).all()):
+        raise DivergenceError(state.k + 1, "iterate is not finite")
+    dv = x_next - (state.x + h * state.v)
+    drift = math.sqrt(dv.dot(dv))
+    if drift > 1e-12 * max(1.0, state.x_norm_max):
+        raise RuntimeError(
+            f"step {state.k + 1}: two-sequence and velocity forms disagree "
+            f"by {drift:.3e}"
+        )
+    g_next = obj.grad(x_next)
+    v_next = (
+        state.v - h * (g_next - state.grad_x) - params.gamma * h * g_next
+    ) / (1.0 + ah)
+    return AgmState(state.k + 1, x_next, y_next, v_next, g_next, h * h * g_next,
+                    float(g_next.dot(g_next)), max(state.x_norm_max, math.sqrt(sq)))
+
+
+def agm_energy_reference(state: AgmState, fx: float, params, xstar: np.ndarray,
+                         fstar: float) -> float:
+    """`momcert.agm_energy` with the bundle's Python floats."""
+    h = params.h
+    dx = state.x - xstar
+    phi = (1.0 + params.xi * h) * state.v + h * state.grad_x + params.xi * dx
+    sigma = dx - state.hg
+    psi = float(fx - fstar - 0.5 * h * h * state.grad_sq)
+    return (
+        0.5 * float(phi.dot(phi))
+        - 0.5 * params.eta * float(sigma.dot(sigma))
+        + params.theta * psi
+    )
+
+
+def pgm_step_reference(state: PgmState, obj: CompositeObjective, params) -> PgmState:
+    """`momcert.pgm_step` with the bundle's Python floats, s = h^2 included."""
+    h = params.h
+    s = h * h
+    y_next = state.x_curr + (state.x_curr - state.x_prev) / (1.0 + params.alpha * h)
+    g = grad_mapping(obj, y_next, s)
+    x_next = y_next - s * g
+    if not (math.isfinite(x_next.dot(x_next)) or np.isfinite(x_next).all()):
+        raise DivergenceError(state.k + 1, "iterate is not finite")
+    return PgmState(state.k + 1, state.x_curr, x_next, y_next, (x_next - state.x_curr) / h, g)
+
+
+def pgm_energy_reference(state: PgmState, f_curr: float, params, xstar: np.ndarray,
+                         fstar: float) -> float:
+    """`momcert.pgm_energy` with the bundle's Python floats."""
+    dx = state.x_curr - xstar
+    phi = state.v + params.xi * dx
+    return (
+        0.5 * float(phi.dot(phi))
+        - 0.5 * params.eta * float(dx.dot(dx))
+        + params.theta * (f_curr - fstar)
+    )
+
+
+def state_bytes(state) -> list:
+    """Each field of a solver state: an array's bytes, a float's bytes, or the value."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else
+            np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in (getattr(state, f.name) for f in fields(state))]
 
 
 def zero_prox() -> ProxTerm:

@@ -821,6 +821,15 @@ class TestCli:
         assert "configuration error" in err and "residual" in err
         assert not list(tmp_path.iterdir())
 
+    def test_overflowing_quadratic_exits_two_without_warnings(self, tmp_path, capsys):
+        # at L = 1e308, Q overflows and leaves a NaN residual: refused before
+        # any run, with no RuntimeWarning and no file written
+        rc = _main_without_runtime_warnings(["solve", "--L", "1e308", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cannot be built" in err
+        assert not list(tmp_path.iterdir())
+
     def test_lasso_past_the_reference_cap_exits_two_at_once(self, tmp_path, capsys):
         # kappa = 1e13 would need about 1e8 accelerated reference steps; the
         # estimate refuses the instance before the loop instead of after 10^7

@@ -110,6 +110,17 @@ class TestRk4:
             assert not np.isfinite(x + z).any()
         assert np.isfinite(x).all() and np.isfinite(z).all()
 
+    def test_finite_state_whose_squares_overflow_does_not_abort(self):
+        # every entry of x + z is finite but ||x + z||^2 overflows: the
+        # finiteness test may not stop at the squared norm
+        p = ode_params_pl(1.0, beta=0.5)
+        x, z = np.full(3, 1e200), np.full(3, -2e199)
+        c = tuple(map(np.array, _coefficients(p)))  # as ode_run hands them on arrays
+        with np.errstate(over="ignore"):
+            x, z = rk4_step(x, z, 1e-3, lambda u: np.zeros(3), c, 1)
+            assert not math.isfinite((x + z).dot(x + z))
+        assert np.isfinite(x).all() and np.isfinite(z).all()
+
     @pytest.mark.parametrize("case", ["float", "(1,)", "d=3", "float-sum-overflows",
                                       "d=3-sum-overflows"])
     def test_bitwise_equal_to_classical_rk4_from_the_reference_field(self, case):

@@ -5,6 +5,7 @@ smooth solver (driven from a hand-built state) and an independently
 written classical two-sequence scheme.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,14 @@ from momcert import (
 )
 from momcert.harness import build_params, build_problem
 
-from _reference import composite_from_smooth, prox_descent_check, state_snapshot
+from _reference import (
+    composite_from_smooth,
+    pgm_energy_reference,
+    pgm_step_reference,
+    prox_descent_check,
+    state_bytes,
+    state_snapshot,
+)
 
 
 def _lasso_instance(seed=12, rows=20, cols=6, lam=2.0):
@@ -229,6 +237,54 @@ class TestStep:
         with pytest.raises(DivergenceError, match="not finite") as err:
             pgm_step(replace(st, x_curr=np.full(6, np.nan)), obj, p)
         assert err.value.k == 2
+
+
+def _assert_step_and_energy_match_the_reference(st, obj, p):
+    """pgm_energy and pgm_step at st equal their float-scalar references, byte for byte."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = obj.total(st.x_curr)
+        got = pgm_energy(st, f, p, obj.minimizer, obj.min_value)
+        want = pgm_energy_reference(st, f, p, obj.minimizer, obj.min_value)
+        nxt = pgm_step(st, obj, p)
+        assert state_bytes(nxt) == state_bytes(pgm_step_reference(st, obj, p))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    return nxt
+
+
+def _bundle(regime, obj):
+    # twice the Lipschitz constant, still an upper bound: above mu at d = 1 too
+    make = {"sc": pgm_params_sc, "qg": pgm_params_qg}[regime]
+    return make(obj.smooth.strong_convexity, 2.0 * obj.smooth.lipschitz, 0.5)
+
+
+class TestBitIdentity:
+    # the kernels take the bundle's scalars (s = h^2 into grad_mapping too)
+    # as 0-d arrays and build temporaries in place; both must round exactly
+    # like the float form
+    @pytest.mark.parametrize("regime", ["sc", "qg"])
+    @pytest.mark.parametrize("d", [1, 5, 50])
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["moderate", "squares-overflow"])
+    def test_step_and_energy_equal_the_float_scalar_reference(self, d, regime, scale):
+        obj = _lasso_instance(seed=d, rows=d + 3, cols=d, lam=0.5)
+        p = _bundle(regime, obj)
+        st = pgm_init(obj, p, obj.minimizer + scale * np.linspace(-2.0, 3.0, d))
+        with np.errstate(over="ignore"):
+            assert math.isfinite(st.x_curr.dot(st.x_curr)) == (scale == 1.0)
+        for _ in range(25):
+            st = _assert_step_and_energy_match_the_reference(st, obj, p)
+
+    def test_no_stale_scalars_across_interleaved_bundles(self):
+        # one orbit each for p, a bundle with another alpha, and a bundle
+        # equal to p but not p, stepped in turn
+        obj = _lasso_instance()
+        p = _bundle("sc", obj)
+        bundles = (p, replace(p, alpha=0.5 * p.alpha), replace(p))
+        assert bundles[2] == p and bundles[2] is not p
+        states = [pgm_init(obj, b, np.full(6, 2.0)) for b in bundles]
+        for k in range(30):
+            i = k % 3
+            states[i] = _assert_step_and_energy_match_the_reference(states[i], obj, bundles[i])
+        assert states[0].x_curr.tobytes() != states[1].x_curr.tobytes()
 
 
 class TestProxDescent:
