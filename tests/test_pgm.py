@@ -258,9 +258,8 @@ def _bundle(regime, obj):
 
 
 class TestBitIdentity:
-    # the kernels take the bundle's scalars (s = h^2 into grad_mapping too)
-    # as 0-d arrays and build temporaries in place; both must round exactly
-    # like the float form
+    # the kernels take the bundle's scalars as 0-d arrays and build their
+    # temporaries in place; both must round exactly like the float form
     @pytest.mark.parametrize("regime", ["sc", "qg"])
     @pytest.mark.parametrize("d", [1, 5, 50])
     @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["moderate", "squares-overflow"])
