@@ -290,8 +290,9 @@ class TestCertify:
 
 class TestRun:
     def test_certified_run_peaks_below_1_7_times_its_trace(self):
-        # the row buffer is freed before the time column is filled, so no
-        # whole-length temporary outlives it: 89 B/row measured for 56 of data
+        # the time column is filled after the row buffer is freed, so its
+        # temporaries and the buffer are never alive together: 89 B/row
+        # measured for 56 of data (104 when they were)
         obj = quadratic_problem(np.geomspace(1.0, 100.0, 5), np.arange(5.0), seed=3)
         p = agm_params_sc(1.0, 100.0, 1.5, 0.5)
         x0 = obj.minimizer + np.linspace(-2.0, 2.0, 5)
