@@ -6,10 +6,10 @@ theta), the per-step contraction factor A, the geometric rate rho, the
 positivity margin R_omega entering the gap bound, and the prescription for
 the initial velocity. Bundles are frozen; anything downstream can re-audit
 one with `check_constraints`, which feeds the bundle's own inputs back
-through the constructor that made it, names every field that differs from
-the rebuilt bundle, and checks the few relations between fields that no
-constructor checks. The audit is not independent of the constructors: it
-shares their formulas, so it catches a tampered or inconsistent bundle but
+through the constructor that made it (its row of `_BUNDLES`), names every
+field that differs from the rebuilt bundle, and checks the few relations
+between fields that no constructor checks. The audit is not independent of
+the constructors: it shares their formulas, so it catches a tampered or inconsistent bundle but
 not a wrong closed form.
 
 Three growth regimes are supported. "sc" assumes strong convexity along
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 __all__ = [
     "Regime",
@@ -85,6 +85,7 @@ def _alpha_or_max(alpha: Optional[float], alpha_max: float) -> float:
 class AgmParams:
     """Parameters for the discrete momentum method with gradient correction."""
 
+    _solver: ClassVar[str] = "agm"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     L: float
@@ -114,6 +115,7 @@ class AgmParams:
 class PgmParams:
     """Parameters for the proximal variant (composite objectives)."""
 
+    _solver: ClassVar[str] = "pgm"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     L: float
@@ -138,6 +140,7 @@ class PgmParams:
 class OdeParams:
     """Parameters for the damped flow and its energy certificate."""
 
+    _solver: ClassVar[str] = "ode"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     alpha: float        # viscous damping
@@ -470,25 +473,30 @@ def ode_params_pl(mu: float, beta: float, theta: float = 1.0) -> OdeParams:
 
 
 # ----------------------------------------------------------------------
-# audit
+# the bundle table and the audit
+
+
+# Each admissible (solver, regime) pair: its bundle constructor's name and the
+# inputs it takes after mu, named by bundle field. The harness builds a run's
+# bundle and names the run from its row; the audit rebuilds a bundle from it.
+_BUNDLES = {
+    ("agm", "sc"): ("agm_params_sc", ("L", "gamma", "omega", "alpha")),
+    ("agm", "qg"): ("agm_params_qg", ("L", "gamma", "omega", "alpha")),
+    ("agm", "pl"): ("agm_params_pl", ("L",)),
+    ("pgm", "sc"): ("pgm_params_sc", ("L", "omega", "alpha")),
+    ("pgm", "qg"): ("pgm_params_qg", ("L", "omega", "alpha")),
+    ("ode", "sc"): ("ode_params_sc", ("alpha", "beta", "omega", "theta")),
+    ("ode", "qg"): ("ode_params_qg", ("alpha", "beta", "omega", "theta")),
+    ("ode", "pl"): ("ode_params_pl", ("beta", "theta")),
+}
 
 
 def _rebuild(p: Union[AgmParams, PgmParams, OdeParams]):
-    """The bundle that p's own inputs give through the constructor that made it."""
-    sc = p.regime is Regime.STRONGLY_CONVEX
-    pl = p.regime is Regime.POLYAK_LOJASIEWICZ
-    if isinstance(p, AgmParams):
-        if pl:
-            return agm_params_pl(p.mu, p.L)
-        make = agm_params_sc if sc else agm_params_qg
-        return make(p.mu, p.L, p.gamma, p.omega, p.alpha)
-    if isinstance(p, PgmParams):
-        _require(not pl, "no gradient-domination bundle exists for the proximal method")
-        return (pgm_params_sc if sc else pgm_params_qg)(p.mu, p.L, p.omega, p.alpha)
-    if pl:
-        return ode_params_pl(p.mu, p.beta, p.theta)
-    make = ode_params_sc if sc else ode_params_qg
-    return make(p.mu, p.alpha, p.beta, p.omega, p.theta)
+    """The bundle that p's own inputs give through its row of _BUNDLES."""
+    row = _BUNDLES.get((p._solver, p.regime.value))
+    _require(row is not None, f"no {p._solver} bundle exists in regime {p.regime.value!r}")
+    name, inputs = row
+    return globals()[name](p.mu, *(getattr(p, f) for f in inputs))
 
 
 def _relations(p: Union[AgmParams, PgmParams, OdeParams]) -> list[tuple]:
@@ -522,14 +530,14 @@ def check_constraints(
 ) -> list[str]:
     """Audit a bundle; return its violations (empty if clean).
 
-    The bundle's inputs (mu, L, gamma, omega, alpha; for the flow mu,
-    alpha, beta, omega, theta) go back through the constructor of its
-    regime. A rejected input is reported with the constructor's message;
-    otherwise every field more than 1e-12 relative away from the rebuilt
-    bundle is named, and so is each failed relation that no constructor
-    checks (see `_relations`). A regime mismatch is itself a violation.
-    Sharing the constructors' formulas, the audit catches a tampered or
-    inconsistent bundle, not a wrong closed form.
+    The bundle's inputs (mu and those its row of `_BUNDLES` names) go
+    back through that row's constructor. A rejected input is reported with
+    the constructor's message; otherwise every field more than 1e-12
+    relative away from the rebuilt bundle is named, and so is each failed
+    relation that no constructor checks (see `_relations`). A regime
+    mismatch is itself a violation. Sharing the constructors' formulas,
+    the audit catches a tampered or inconsistent bundle, not a wrong
+    closed form.
     """
     if params.regime is not regime:
         return [

@@ -40,6 +40,7 @@ from momcert import (
 from momcert.harness import (
     PROBLEMS,
     REGIMES,
+    _knobs,
     build_params,
     build_problem,
     exit_code_for,
@@ -48,6 +49,7 @@ from momcert.harness import (
     rate_table_text,
 )
 from momcert.oracle import CompositeObjective
+from momcert.params import _BUNDLES
 
 
 def _cli_env():
@@ -333,6 +335,31 @@ class TestBuilders:
             ("ode", "pl"): lambda: ode_params_pl(mu, beta, 1.0),
         }[solver, regime]
         assert build_params(config, obj) == direct()
+
+    @pytest.mark.parametrize("problem,solver,regime", sorted(ADMISSIBLE))
+    def test_knobs_are_the_inputs_the_bundle_reads(self, problem, solver, regime):
+        # the sweep refuses a grid whose runs share their _knobs, so a knob
+        # must be among them exactly when changing it changes the bundle
+        base = ExperimentConfig(problem=problem, d=4, q=0.1, solver=solver, regime=regime)
+        obj, _ = build_problem(base)
+        assert (solver, regime) in _BUNDLES
+        for tag, key, value in (("g", "gamma", 1.5), ("w", "omega", 0.5)):
+            moved = build_params(replace(base, **{key: value}), obj) != build_params(base, obj)
+            assert moved == (tag in _knobs(base)), key
+
+    @pytest.mark.parametrize("solver,regime", sorted(_BUNDLES))
+    def test_each_bundle_is_built_through_the_harness_name(self, monkeypatch, solver,
+                                                           regime):
+        # bench/tracer.py times params.bundle by patching these names in
+        # momcert.harness; a build that bypassed them would read 0 calls
+        name = _BUNDLES[solver, regime][0]
+        problem = min(p for p, s, r in self.ADMISSIBLE if (s, r) == (solver, regime))
+        make, calls = getattr(momcert.harness, name), []
+        monkeypatch.setattr(momcert.harness, name,
+                            lambda *args: calls.append(args) or make(*args))
+        config = ExperimentConfig(problem=problem, d=4, q=0.1, solver=solver, regime=regime)
+        bundle = build_params(config, build_problem(config)[0])
+        assert len(calls) == 1 and bundle == make(*calls[0])
 
     # a changed value for every key but problem and seed (seed is part of
     # every instance key)
@@ -1001,6 +1028,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert "certificates:" in proc.stdout
+
+    def test_the_library_imports_numpy_only(self):
+        # scipy and hypothesis are test dependencies; the library uses numpy
+        code = ("import sys; before = set(sys.modules); import momcert; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_cli_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {name.split(".")[0] for name in proc.stdout.split()}
+        assert {"numpy", "momcert"} <= loaded
+        assert loaded - sys.stdlib_module_names - {"numpy", "momcert"} == set()
+
+    def test_negative_value_in_scientific_notation(self, tmp_path, capsys):
+        rc = main(["solve", "--problem", "pl_sine", "--regime", "pl", "--x0", "-1e-3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "certificates: 1000/1000 passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("problem", ["quadratic", "lasso"])
     def test_instance_too_large_to_allocate_exits_two(self, tmp_path, problem):

@@ -316,6 +316,11 @@ class TestAudit:
         bad = check_constraints(p, Regime.QUADRATIC_GROWTH)
         assert len(bad) == 1 and "regime" in bad[0]
 
+    def test_pair_without_a_bundle_is_an_inputs_violation(self):
+        # no proximal bundle exists in pl, so the audit has nothing to rebuild
+        p = replace(pgm_params_sc(1.0, 100.0, 0.5), regime=Regime.POLYAK_LOJASIEWICZ)
+        assert check_constraints(p, p.regime) == ["inputs: no pgm bundle exists in regime 'pl'"]
+
     def test_tampered_values_are_named(self):
         p = agm_params_sc(1.0, 100.0, 1.0, 0.0)
         assert any("theta" in v for v in
