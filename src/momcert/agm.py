@@ -98,26 +98,10 @@ def agm_init(obj: SmoothObjective, params: AgmParams, x0: np.ndarray) -> AgmStat
                     x_norm_max=math.sqrt(x0.dot(x0)))
 
 
-# The array kernels take their bundle scalars as 0-d float64 arrays: at d = 50 an
-# array times a Python float costs 0.39 us, times a 0-d array 0.26 us (numpy 2.4.6,
-# Xeon), through the same double loop. agm_step builds its temporaries in place,
-# with the same operations and operands (sums and products may commute): same bits.
-_coef_cache = [(None, ())]  # (bundle, its scalars); kept alive, so its id is not reused
-
-
-def _coef(params: AgmParams) -> tuple:
-    """(h, 1 + alpha h, gamma / (1 + alpha h) - 1, gamma h, h^2, 1 + xi h, xi), cached."""
-    bundle, coef = _coef_cache[0]
-    if bundle is not params:  # bundles are frozen
-        h, opah = params.h, 1.0 + params.alpha * params.h
-        coef = tuple(map(np.array, (h, opah, params.gamma / opah - 1.0, params.gamma * h,
-                                    h * h, 1.0 + params.xi * h, params.xi)))
-        _coef_cache[0] = (params, coef)
-    return coef
-
-
+# agm_step builds its temporaries in place, with the same operations and operands
+# (sums and products may commute): same bits.
 def agm_step(state: AgmState, obj: SmoothObjective, params: AgmParams) -> AgmState:
-    h, opah, c, gh, h2, _, _ = _coef(params)
+    h, opah, c, gh, h2, _, _ = params.scalars
     y_next = state.x - state.hg
     x_next = y_next - state.y  # y_next + (y_next - y_k) / opah + c (y_next - x_k)
     x_next /= opah
@@ -156,7 +140,7 @@ def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     Uses the expanded anchor form of phi, so everything is computable from
     (x_k, v_k, grad f(x_k)) without evaluating any extra gradient.
     """
-    h, _, _, _, _, opxh, xi = _coef(params)
+    h, _, _, _, _, opxh, xi = params.scalars
     dx = state.x - xstar
     phi = opxh * state.v + h * state.grad_x + xi * dx
     sigma = dx - state.hg

@@ -147,7 +147,7 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    pref, q = params.bound_prefactor, 1.0 + params.rho
+    pref, q = params.prefactor, 1.0 + params.rho
     head = {
         **extra,
         "h": params.h,

@@ -264,11 +264,11 @@ def build_params(config: ExperimentConfig, obj) -> Union[
     big_l, flow = smooth.lipschitz, solver == "ode"
     name, inputs = _BUNDLES[solver, regime]
     try:
-        # the flow's defaults; agm and pgm default alpha to their largest admissible one
+        # the flow's alpha and beta defaults; any other None is its constructor's default
         given = {"L": big_l, "gamma": config.gamma, "omega": config.omega,
                  "alpha": 2.0 * math.sqrt(mu) if flow and config.alpha is None else config.alpha,
                  "beta": 1.0 / math.sqrt(big_l) if flow and config.beta is None else config.beta,
-                 "theta": 1.0 if config.theta is None and regime == "pl" else config.theta}
+                 "theta": config.theta}
         return globals()[name](mu, *(given[f] for f in inputs))
     except (ValueError, ArithmeticError) as err:
         raise ConfigError(str(err)) from None

@@ -178,8 +178,9 @@ def pl_sine_problem() -> SmoothObjective:
 
     f'' = 2 + 6 cos(2x) lies in [-4, 8], so the gradient is 8-Lipschitz and
     the function is not convex. The unique global minimizer is 0 with value
-    0. The gradient-domination constant is estimated by a dense scan over
-    [-20, 20]; no strong convexity constant is attached.
+    0. The gradient-domination constant is estimated by
+    `estimate_pl_constant`'s default dense scan over [-20, 20]; no strong
+    convexity constant is attached.
     """
     obj = SmoothObjective(
         dimension=1,
@@ -190,7 +191,7 @@ def pl_sine_problem() -> SmoothObjective:
         min_value=0.0,
         takes_floats=True,
     )
-    mu_pl = estimate_pl_constant(obj, -20.0, 20.0, 20001)
+    mu_pl = estimate_pl_constant(obj)
     return replace(obj, pl_constant=mu_pl)
 
 

@@ -71,22 +71,9 @@ def pgm_init(obj: CompositeObjective, params: PgmParams, x0: np.ndarray) -> PgmS
     )
 
 
-_coef_cache = [(None, ())]  # bundle scalars as 0-d arrays, as in agm.py
-
-
-def _coef(params: PgmParams) -> tuple:
-    """(h, h^2, 1 + alpha h, xi), cached."""
-    bundle, coef = _coef_cache[0]
-    if bundle is not params:
-        h = params.h
-        coef = tuple(map(np.array, (h, h * h, 1.0 + params.alpha * h, params.xi)))
-        _coef_cache[0] = (params, coef)
-    return coef
-
-
 def pgm_step(state: PgmState, obj: CompositeObjective, params: PgmParams) -> PgmState:
     """Step k -> k+1; the new state keeps the G_s(y_{k+1}) it took as g."""
-    h, s, opah, _ = _coef(params)
+    h, s, opah, _ = params.scalars
     y_next = state.x_curr - state.x_prev  # x_curr + (x_curr - x_prev) / opah
     y_next /= opah
     y_next += state.x_curr
@@ -107,7 +94,7 @@ def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndar
                fstar: float) -> float:
     """Energy E_k of the state, given f_curr = F(x_{k+1}) and the true F*."""
     dx = state.x_curr - xstar
-    phi = state.v + _coef(params)[3] * dx
+    phi = state.v + params.scalars[3] * dx
     return (
         0.5 * float(phi.dot(phi))
         - 0.5 * params.eta * float(dx.dot(dx))

@@ -289,6 +289,17 @@ class TestCertify:
 
 
 class TestRun:
+    @pytest.mark.parametrize("make", [
+        lambda: agm_params_sc(1.0, 100.0, 1.5, 0.5),
+        lambda: agm_params_qg(1.0, 100.0, 1.0, 1.0),
+        lambda: agm_params_pl(1.0, 100.0),
+    ], ids=["sc", "qg", "pl"])
+    def test_summary_records_the_bundle_prefactor(self, make):
+        p = make()
+        obj = quadratic_problem(np.geomspace(1.0, 100.0, 5), np.arange(5.0), seed=3)
+        tr = agm_run(obj, p, obj.minimizer + 1.0, 20)
+        assert tr.summary["bound_prefactor"] == p.prefactor
+
     def test_certified_run_peaks_below_1_7_times_its_trace(self):
         # the time column is filled after the row buffer is freed, so its
         # temporaries and the buffer are never alive together: 89 B/row
@@ -438,7 +449,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
         row = [k, fx, fy, np.linalg.norm(st.grad_x), e_now, np.nan, np.nan]
         if certified:
             row[1:3] = fx - fstar, fy - fstar
-            row[6] = p.bound_prefactor * gap0 / (1.0 + p.rho) ** k
+            row[6] = p.prefactor * gap0 / (1.0 + p.rho) ** k
         rows.append(row)
         if certified and fx - fstar > 1e6 * max(1.0, gap0):
             aborted = k

@@ -8,6 +8,7 @@ short) and frozen as exact float literals.
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ class TestAgmStronglyConvex:
         assert p.rho == 0.09090909090909091
         assert p.v0_coeff == 0.9090909090909091
         assert p.R_omega == 1.0
-        assert p.bound_prefactor == 2.0
+        assert p.prefactor == 2.0
         assert p.xi == 1.0           # alpha / 2
         assert p.eta == 0.0          # omega = 0 kills the negative term
         assert p.theta == p.gamma
@@ -51,7 +52,7 @@ class TestAgmStronglyConvex:
         assert p.R_omega == pytest.approx(2.0 / 13.0, rel=1e-12)
         assert p.v0_coeff == pytest.approx(5.0 / 6.0, rel=1e-15)
         assert p.xi == pytest.approx(2.0, rel=1e-15)
-        assert p.bound_prefactor == pytest.approx(19.5, rel=1e-12)
+        assert p.prefactor == pytest.approx(19.5, rel=1e-12)
 
     def test_caller_alpha_respected_and_capped(self):
         p = agm_params_sc(1.0, 100.0, gamma=1.0, omega=0.0, alpha=1.0)
@@ -93,7 +94,7 @@ class TestAgmQuadraticGrowth:
         assert p.alpha == 1.5
         assert p.rho == 0.04545454545454546
         assert p.R_omega == 1.0
-        assert p.bound_prefactor == 2.0
+        assert p.prefactor == 2.0
 
     def test_omega_one_reference(self):
         # r = sqrt(2): alpha = (3 + r)/(2 + r) with mu gamma = 1
@@ -103,7 +104,7 @@ class TestAgmQuadraticGrowth:
         assert p.alpha == 1.2928932188134525
         assert p.rho == 0.04881553646890875
         assert p.R_omega == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert p.bound_prefactor == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+        assert p.prefactor == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_slower_than_strongly_convex(self):
         sc = agm_params_sc(1.0, 100.0, 1.0, 0.0).rho
@@ -122,7 +123,7 @@ class TestAgmPl:
         assert p.xi == 0.0 and p.omega == 0.0 and p.eta == 0.0
         assert p.theta == p.gamma
         assert p.R_omega == 1.0 and p.v0_coeff == 1.0
-        assert p.bound_prefactor == 1.0
+        assert p.prefactor == 1.0
 
     @given(q=st.floats(1e-6, 0.99))
     def test_gamma_always_in_unit_interval(self, q):
@@ -159,7 +160,7 @@ class TestPgm:
         assert p.A * p.h == 0.1
         assert p.theta == pytest.approx(1.21, rel=1e-15)
         assert p.R_omega == 1.0
-        assert p.bound_prefactor == 2.0
+        assert p.prefactor == 2.0
 
     def test_sc_omega_one_reference(self):
         p = pgm_params_sc(1.0, 100.0, omega=1.0)
@@ -179,7 +180,7 @@ class TestPgm:
         expected = (2.0 - math.sqrt(2.0)) * 0.1 / 1.1
         assert p1.rho == pytest.approx(expected, rel=1e-14)
         assert p1.R_omega == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert p1.bound_prefactor == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+        assert p1.prefactor == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
     @given(omega=st.floats(0.0, 1.0), q=st.floats(1e-5, 0.5))
     def test_bound_rate_never_beats_certificate_rate(self, omega, q):
@@ -225,6 +226,11 @@ class TestOde:
         assert p.decay_rate == pytest.approx((2.0 - math.sqrt(2.0)) * math.sqrt(mu),
                                              rel=1e-14)
         assert p.prefactor == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+
+    def test_pl_theta_defaults_to_one(self):
+        # None reads as 1, like theta_opt=None in sc and qg reads as the floor
+        assert ode_params_pl(2.0, 0.25) == ode_params_pl(2.0, 0.25, None) \
+            == ode_params_pl(2.0, 0.25, 1.0)
 
     def test_pl_reference(self):
         p = ode_params_pl(2.0, beta=0.25, theta=1.0)
@@ -316,6 +322,11 @@ class TestAudit:
         bad = check_constraints(p, Regime.QUADRATIC_GROWTH)
         assert len(bad) == 1 and "regime" in bad[0]
 
+    def test_unknown_bundle_type_is_reported(self):
+        # the type is tested before the regime, which an object lacks
+        assert check_constraints(object(), Regime.STRONGLY_CONVEX) == [
+            "unknown bundle type object"]
+
     def test_pair_without_a_bundle_is_an_inputs_violation(self):
         # no proximal bundle exists in pl, so the audit has nothing to rebuild
         p = replace(pgm_params_sc(1.0, 100.0, 0.5), regime=Regime.POLYAK_LOJASIEWICZ)
@@ -381,3 +392,32 @@ class TestAudit:
         bad = check_constraints(replace(p, theta=math.inf, gamma=math.inf), p.regime)
         assert len(bad) == 1 and bad[0].startswith("inputs: need")
         assert "theta < inf" in bad[0]
+
+
+DISCRETE = FACTORIES[:6] + [lambda: agm_params_nesterov(1.0, 100.0)]
+
+
+class TestBundleConstants:
+    @pytest.mark.parametrize("make", DISCRETE)
+    def test_scalars_are_cached_on_the_bundle(self, make):
+        p = make()
+        assert p.scalars is p.scalars
+        assert all(s.shape == () and s.dtype == np.float64 for s in p.scalars)
+
+    @pytest.mark.parametrize("make", DISCRETE)
+    def test_a_replaced_bundle_computes_its_own_scalars(self, make):
+        p = make()
+        p.scalars  # fill the cache before replace copies the bundle
+        q = replace(p, alpha=p.alpha * 0.5)
+        fresh = type(q)(**{f.name: getattr(q, f.name) for f in fields(q)})
+        assert [s.tobytes() for s in q.scalars] == [s.tobytes() for s in fresh.scalars]
+        assert [s.tobytes() for s in q.scalars] != [s.tobytes() for s in p.scalars]
+
+    @pytest.mark.parametrize("make", DISCRETE)
+    def test_scalars_are_not_a_field(self, make):
+        p, before = make(), make()
+        p.scalars  # fill the cache
+        assert "scalars" not in {f.name for f in fields(p)}
+        assert p == before and hash(p) == hash(before) and repr(p) == repr(before)
+        assert replace(p) == before
+        assert check_constraints(p, p.regime) == check_constraints(before, p.regime)

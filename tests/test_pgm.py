@@ -143,6 +143,15 @@ class TestCertify:
 
 
 class TestRun:
+    @pytest.mark.parametrize("regime", ["sc", "qg"])
+    def test_summary_records_the_bundle_prefactor(self, regime):
+        obj = _lasso_instance()
+        big_l = obj.smooth.lipschitz
+        p = (pgm_params_sc(obj.smooth.strong_convexity, big_l, 0.5) if regime == "sc"
+             else pgm_params_qg(obj.qg_constant, big_l, 0.5))
+        tr = pgm_run(obj, p, np.full(6, 2.0), 20)
+        assert tr.summary["bound_prefactor"] == p.prefactor
+
     @pytest.mark.parametrize("regime,omega", [
         ("sc", 0.0), ("sc", 0.5), ("sc", 1.0),
         ("qg", 0.0), ("qg", 1.0),
@@ -360,7 +369,7 @@ def _loop_run(obj, p, x0, iters, certify=True):
         row = [k, f_prev, f_curr, gnorm, e_now, np.nan, np.nan]
         if certified:
             row[1:3] = f_prev - fstar, f_curr - fstar
-            row[6] = p.bound_prefactor * gap0 / (1.0 + p.rho) ** k
+            row[6] = p.prefactor * gap0 / (1.0 + p.rho) ** k
         rows.append(row)
         if certified and f_curr - fstar > 1e6 * max(1.0, gap0):
             aborted = k

@@ -37,8 +37,9 @@ from momcert.harness import main as momcert_main
 CONFIGS = {"nocert.cfg": "certify = false\n", "big.cfg": "x0_scale = 1e160\n"}
 
 # (name, argv): the pl_sine and flow runs first, then one sweep, one lasso
-# certify, one overflowing start point per solver and one uncertified run per
-# discrete solver.
+# certify, one overflowing start point per solver, one uncertified run per
+# discrete solver, and one run per discrete prefactor the others leave out
+# (agm and pgm in qg, pgm in sc with omega > 0).
 COMMANDS = [
     ("ode-pl-sine", "ode --problem pl_sine --regime pl --seed 0"),
     ("ode-pl-sine-fine", "ode --problem pl_sine --regime pl --x0 2.0 --dt 0.001 --seed 1"),
@@ -64,6 +65,10 @@ COMMANDS = [
      "solve --config {dir}/nocert.cfg --problem quadratic --d 20 -k 300 --seed 5"),
     ("solve-lasso-nocert",
      "solve --config {dir}/nocert.cfg --problem lasso --d 20 -k 300 --seed 5"),
+    ("solve-quadratic-qg",
+     "solve --problem quadratic --regime qg --gamma 1.5 --omega 0.5 --d 20 -k 300 --seed 4"),
+    ("certify-lasso-qg", "certify --problem lasso --regime qg --omega 0.5 --d 20 -k 300 --seed 4"),
+    ("certify-lasso-omega", "certify --problem lasso --omega 0.5 --d 20 -k 300 --seed 4"),
 ]
 
 VOLATILE = ("wall_time_s", "csv_path", "json_path")
