@@ -152,19 +152,17 @@ def agm_energy(state: AgmState, fx: float, params: AgmParams, xstar: np.ndarray,
     )
 
 
-def _rows(obj: SmoothObjective, params: AgmParams, x0: np.ndarray, certified: bool):
+def _rows(obj: SmoothObjective, params: AgmParams, states, certified: bool):
     """Rows (f(x_k), f(y_{k+1}), ||grad f(x_k)||, E_k) for run_discrete.
 
     Per step: the gradient agm_step takes at x_{k+1}, and f at x_{k+1} and
     at the lookahead point y_{k+2}; f(x_k) also serves the energy.
     """
     xstar, fstar = obj.minimizer, obj.min_value
-    state = agm_init(obj, params, x0)
-    while True:
+    for state in states:
         fx = obj.eval(state.x)
         yield (fx, obj.eval(state.x - state.hg), math.sqrt(state.grad_sq),
                agm_energy(state, fx, params, xstar, fstar) if certified else math.nan)
-        state = agm_step(state, obj, params)
 
 
 def agm_run(
@@ -188,7 +186,8 @@ def agm_run(
     f_gap_x is measured against the best f(x_k) seen, f_gap_y against the
     best of both columns, and the summary is flagged uncertified.
     """
-    return run_discrete("agm", obj, params, x0, iters, certify, _rows, gap=0,
+    return run_discrete("agm", obj, params, x0, iters, certify, agm_init, agm_step, _rows,
+                        ("x", "v", "grad_x", "hg", "grad_sq"), gap=0,
                         best_of=((0,), (0, 1)), extra={"gamma": params.gamma})
 
 

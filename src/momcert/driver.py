@@ -1,22 +1,27 @@
 """The run driver shared by all three solvers.
 
 `agm_run`, `pgm_run` and `ode_run` each hand `run_trace` a generator over
-their finished rows, plus the data that sets them apart. The solver
-computes every oracle value once and carries it wherever else it is
-needed, so the driver itself never calls the oracle.
+their recursion's states, a function from those to finished rows, and the
+data that sets them apart. The solver computes every oracle value once and
+carries it wherever else it is needed, so the driver never calls the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import time
 from array import array
+from collections import namedtuple
+from contextlib import closing
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .certificates import DivergenceError, certify_trace
+from .parallel import forked, spare_cores
 from .trace import Trace
 
 __all__ = ["DISCRETE_COLUMNS"]
@@ -35,22 +40,32 @@ _BLOWUP_FACTOR = 1e6
 # its row buffer and its table, but no time column, alive during assembly.
 MAX_ROWS = 10**8
 
+# A run forks its recursion from this many rows on, a flow on floats from 4x as
+# many: on 2 cores the fork costs ~1.8 ms, repaid from ~750 rows on arrays (2.4
+# to 5.3 us saved a row) and ~7,800 on floats (0.23 us), see ROADMAP.
+PIPELINE_MIN_ROWS = 2_600
+
 
 class RowLimitError(ValueError):
     """A run asked for a trace of more than MAX_ROWS rows."""
 
 
-def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iterator],
-              n_rows: int, *, columns: tuple[str, ...], step: float, gap: int,
-              best_of: tuple[tuple[int, ...], ...], blowup: float, bound_column: str,
-              bound: Callable[[float, int], float], head: dict) -> Trace:
+def run_trace(kind: str, obj, params, certify: bool, states: Iterator,
+              rows: Callable[[Iterator, bool], Iterator], n_rows: int, *,
+              fields: Optional[tuple[str, ...]], columns: tuple[str, ...], step: float,
+              gap: int, best_of: tuple[tuple[int, ...], ...], blowup: float,
+              bound_column: str, bound: Callable[[float, int], float], head: dict) -> Trace:
     """Run one solver for at most n_rows rows and return its certified trace.
 
     The run is certified when `certify` is set and obj carries x* and f*.
-    rows(certified) yields the values of columns 1, 2, ... of each row:
-    the raw objective values, grad_norm where the solver has one, and the
-    energy (NaN when not certified). The rest is data:
+    rows(states, certified) yields, from the recursion's states, the values
+    of columns 1, 2, ... of each row: the raw objective values, grad_norm
+    where the solver has one, and the energy (NaN when not certified). The
+    rest is data:
 
+    fields   the state attributes rows reads, arrays first (None: each
+             state is a tuple of them); a long run with a spare core
+             computes states 1.. in a forked child, which sends only these
     step     column 0 of row k holds k * step
     gap      the objective value at the state's own iterate, which feeds
              the blow-up rule and final_gap
@@ -63,7 +78,7 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
 
     A non-finite objective value ends the run at its row; a DivergenceError
     from rows ends it before row err.k. More than MAX_ROWS rows raise
-    RowLimitError before the first step.
+    RowLimitError before the first step; a forked recursion changes neither.
     """
     if not n_rows <= MAX_ROWS:
         raise RowLimitError(
@@ -73,10 +88,13 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     certified = bool(certify and obj.minimizer is not None and fstar is not None)
     aborted_at: Optional[int] = None
 
-    it = rows(certified)
+    if n_rows >= PIPELINE_MIN_ROWS and spare_cores() > 0:
+        states = _streamed(states, n_rows, fields)
     last, isfinite = len(best_of) - 1, math.isfinite
-    # the run ends at its first non-finite value, so overflow warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
+    # closed so that no held traceback keeps a forked recursion alive; the run
+    # ends at its first non-finite value, so overflow warnings add nothing
+    with closing(states), closing(rows(states, certified)) as it, \
+            np.errstate(over="ignore", invalid="ignore"):
         row = next(it)
         gap0 = row[0] - fstar if certified else math.nan
         cap = blowup * max(1.0, gap0)
@@ -125,6 +143,52 @@ def run_trace(kind: str, obj, params, certify: bool, rows: Callable[[bool], Iter
     return trace
 
 
+def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> Iterator:
+    """The first n states, 1.. computed in a forked child that sends pickled
+    blocks of their fields, then its exception, raised here in its turn. They
+    come back as (k, *fields) named tuples, or as tuples."""
+    first = next(states)
+    pack = attrgetter(*fields) if fields else tuple
+    values = pack(first)
+    nv = sum(isinstance(v, np.ndarray) for v in values)
+    per_block = max(1, 4096 // sum(np.size(v) for v in values))  # about 32 KiB a block
+    if not nv and n < 4 * PIPELINE_MIN_ROWS:
+        yield first
+        yield from states
+        return
+
+    def send(_):  # in the child; blocks grow from 1 state, for an early first row
+        arrays, floats, size = [], [], 1
+        try:
+            for j, state in enumerate(itertools.islice(states, n - 1), 1):
+                values = pack(state)
+                arrays += values[:nv]
+                floats.append(values[nv:])
+                if len(floats) == size or j == n - 1:
+                    yield pickle.dumps((arrays and np.concatenate(arrays), floats, None))
+                    arrays, floats, size = [], [], min(2 * size, per_block)
+        except Exception as err:
+            yield pickle.dumps((arrays and np.concatenate(arrays), floats, err))
+
+    state, ks = namedtuple("State", ("k", *fields)) if fields else None, itertools.count(1)
+    with forked(2, send) as (end,):
+        yield first
+        while True:  # the caller takes no more than n states
+            arrays, recs, err = pickle.load(end)
+            if nv and recs:
+                recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
+            yield from recs if state is None else (state(next(ks), *r) for r in recs)
+            if err is not None:
+                raise err
+
+
+def _recursion(init, step, obj, params, x0: np.ndarray) -> Iterator:
+    state = init(obj, params, x0)
+    while True:
+        yield state
+        state = step(state, obj, params)
+
+
 def _theorem_bound(b: float, q: float, n: int) -> Iterator[float]:
     """b / q^k for k < n, from the first overflowing q^k on b * q^-k (underflows to 0)."""
     try:
@@ -135,11 +199,13 @@ def _theorem_bound(b: float, q: float, n: int) -> Iterator[float]:
 
 
 def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bool,
-                 rows: Callable[..., Iterator[tuple]], gap: int,
+                 init: Callable, step: Callable, rows: Callable[..., Iterator[tuple]],
+                 fields: tuple[str, ...], gap: int,
                  best_of: tuple[tuple[int, ...], ...], extra: dict) -> Trace:
     """Run `iters` steps of agm or pgm through run_trace.
 
-    rows(obj, params, x0, certified) yields (a, b, grad_norm, E), with a
+    The recursion is init(obj, params, x0), then step(state, obj, params);
+    rows(obj, params, states, certified) yields (a, b, grad_norm, E), with a
     and b the objective values behind f_gap_x and f_gap_y. theorem_bound
     is prefactor * gap_0 / (1 + rho)^k (see _theorem_bound past the float
     range). The summary records A and h, from which certify_trace checks
@@ -158,9 +224,9 @@ def run_discrete(kind: str, obj, params, x0: np.ndarray, iters: int, certify: bo
         "iters_requested": iters,
     }
     return run_trace(
-        kind, obj, params, certify,
-        lambda certified: rows(obj, params, x0, certified), iters + 1,
-        columns=DISCRETE_COLUMNS, step=1, gap=gap, best_of=best_of,
+        kind, obj, params, certify, _recursion(init, step, obj, params, x0),
+        lambda states, certified: rows(obj, params, states, certified), iters + 1,
+        fields=fields, columns=DISCRETE_COLUMNS, step=1, gap=gap, best_of=best_of,
         blowup=_BLOWUP_FACTOR, bound_column="theorem_bound",
         bound=lambda gap0, n: _theorem_bound(pref * gap0, q, n),
         head=head,

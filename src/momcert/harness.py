@@ -456,7 +456,7 @@ def rate_table(
                 rows.append(err)
         return rows
 
-    with forked(n, lambda i: pickle.dumps(share(i))) as ends:
+    with forked(n, lambda i: [pickle.dumps(share(i))]) as ends:
         shares = [share(0)]
         sent = [end.read() for end in ends]
     shares += [pickle.loads(data) for data in sent]  # once every worker exited 0

@@ -119,29 +119,36 @@ def default_dt(obj: SmoothObjective, params: OdeParams) -> float:
     return 0.1 / _stiffness(obj.lipschitz, params.alpha, params.beta)
 
 
-def _samples(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float,
-             certified: bool, summary: dict):
-    """Rows (f, eps) at t = k dt, k = 0, 1, ..., for run_trace.
+def _states(obj: SmoothObjective, params: OdeParams, x0: np.ndarray, dt: float):
+    """The recursion for run_trace: (x, z) at t = k dt, floats or arrays."""
+    grad, c = obj.grad, _coefficients(params)
+    if obj.takes_floats:
+        x, z = float(x0[0]), 0.0
+    else:
+        x, z, c = x0, np.zeros(x0.size), tuple(map(np.array, c))
+    yield x, z
+    for k in itertools.count(1):
+        x, z = rk4_step(x, z, dt, grad, c, k)
+        yield x, z
+
+
+def _samples(obj: SmoothObjective, params: OdeParams, states, certified: bool,
+             summary: dict):
+    """Rows (f, eps) of the iterator over states (x, z), for run_trace.
 
     One f evaluation per sample, which also serves eps. The first sample
     records eps0 and f_scale = |f_0| + |f*| (the scale of the certificates'
-    noise floor) in `summary`; a step that leaves the state non-finite
-    raises DivergenceError with the index of the sample it was to produce.
+    noise floor) in `summary`.
     """
-    xstar, fstar, grad, feval = obj.minimizer, obj.min_value, obj.grad, obj.eval
-    c = _coefficients(params)
-    if obj.takes_floats:
-        x, z = float(x0[0]), 0.0
-        if certified:
-            xstar = float(xstar[0])
-    else:
-        x, z, c = x0, np.zeros(x0.size), tuple(map(np.array, c))
+    xstar, fstar, feval = obj.minimizer, obj.min_value, obj.eval
+    if certified and obj.takes_floats:
+        xstar = float(xstar[0])
+    x, z = next(states)
     f = feval(x)
     summary["eps0"] = eps = ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
     summary["f_scale"] = float(abs(f) + abs(fstar)) if certified else math.nan
     yield f, eps
-    for k in itertools.count(1):
-        x, z = rk4_step(x, z, dt, grad, c, k)
+    for x, z in states:
         f = feval(x)
         yield f, ode_energy(x, z, f, params, xstar, fstar) if certified else math.nan
 
@@ -193,9 +200,9 @@ def ode_run(
         "dt": dt,
     }
     return run_trace(
-        "ode", obj, params, certify,
-        lambda certified: _samples(obj, params, x0, dt, certified, own), n + 1,
-        columns=ODE_COLUMNS, step=dt, gap=0, best_of=((0,),), blowup=math.inf,
+        "ode", obj, params, certify, _states(obj, params, x0, dt),
+        lambda states, certified: _samples(obj, params, states, certified, own), n + 1,
+        fields=None, columns=ODE_COLUMNS, step=dt, gap=0, best_of=((0,),), blowup=math.inf,
         bound_column="envelope",
         bound=lambda gap0, n: (pref * gap0 * exp(-rate * (k * dt)) for k in range(n)),
         head=own,

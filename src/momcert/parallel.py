@@ -2,10 +2,14 @@
 
 A child ends in os._exit, and OpenBLAS stops its thread pool in a fork
 handler, so forking a threaded process and calling BLAS in the child is safe.
+A job of n processes holds n of the usable cores (see spare_cores).
 """
 
 import os
+import signal
 from contextlib import contextmanager
+
+_held = 1  # processes of the forked jobs this process is one of
 
 
 def usable_cores() -> int:
@@ -14,15 +18,22 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if ok else 1
 
 
+def spare_cores() -> int:
+    """Usable cores beyond the one this process runs on, in its share of its job."""
+    return usable_cores() // _held - 1
+
+
 @contextmanager
 def forked(n: int, work):
-    """Fork n - 1 children; child i sends work(i), bytes, through a pipe.
+    """Fork n - 1 children; child i sends the bytes chunks of work(i) through a pipe.
 
-    Yields the read ends in share order. On leaving, every read end is closed,
-    then every child reaped. An error in the block propagates unchanged; else
-    a failed child raises OSError.
+    Yields the read ends in share order. On leaving, every read end is
+    closed, then every child reaped; an error in the block (GeneratorExit
+    included) first kills them and propagates unchanged. Else a failed
+    child raises OSError.
     """
-    pids, ends = [], []
+    global _held
+    pids, ends, held, _held = [], [], _held, _held * n
     try:
         for i in range(1, n):
             r, w = os.pipe()
@@ -34,7 +45,12 @@ def forked(n: int, work):
                 os.close(w)
             pids.append(pid)
         yield ends
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
+        _held = held
         for end in ends:  # a child blocked on a closed pipe fails and exits
             end.close()
         failed = any([os.waitpid(pid, 0)[1] for pid in pids])
@@ -43,12 +59,14 @@ def forked(n: int, work):
 
 
 def _child(ends, w: int, work, i: int) -> None:
-    """In a forked child: send work(i) through pipe end w, then exit."""
+    """In a forked child: send work(i)'s chunks through pipe end w, then exit."""
     try:
         for end in ends:  # so the parent closing its ends stops a blocked write
             end.close()
-        with open(w, "wb") as fh:  # work(i) is all made first: a pipe holds 64 KiB
-            fh.write(work(i))
+        with open(w, "wb") as fh:
+            for chunk in work(i):
+                fh.write(chunk)
+                fh.flush()
     except BaseException:
         os._exit(1)
     os._exit(0)

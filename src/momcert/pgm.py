@@ -102,22 +102,19 @@ def pgm_energy(state: PgmState, f_curr: float, params: PgmParams, xstar: np.ndar
     )
 
 
-def _rows(obj: CompositeObjective, params: PgmParams, x0: np.ndarray,
-          certified: bool):
+def _rows(obj: CompositeObjective, params: PgmParams, states, certified: bool):
     """Rows (F(x_k), F(x_{k+1}), ||G_s(y_k)||, E_k) for run_discrete.
 
     Per step: one gradient mapping (one grad, one prox) in pgm_step, and
     one F at the new iterate, which serves the energy, then f_gap_y, then
-    the next row's f_gap_x.
+    the next row's f_gap_x (F(x_0) = F(x_1) in row 0).
     """
     xstar, fstar = obj.minimizer, obj.min_value
-    state = pgm_init(obj, params, x0)
-    f_prev = f_curr = obj.total(state.x_curr)
-    while True:
-        yield (f_prev, f_curr, math.sqrt(state.g.dot(state.g)),
-               pgm_energy(state, f_curr, params, xstar, fstar) if certified else math.nan)
-        state = pgm_step(state, obj, params)
+    f_curr = None
+    for state in states:
         f_prev, f_curr = f_curr, obj.total(state.x_curr)
+        yield (f_curr if f_prev is None else f_prev, f_curr, math.sqrt(state.g.dot(state.g)),
+               pgm_energy(state, f_curr, params, xstar, fstar) if certified else math.nan)
 
 
 def pgm_run(
@@ -137,5 +134,5 @@ def pgm_run(
     and final_gap use f_gap_y; without ground truth both gap columns are
     measured against the best F seen.
     """
-    return run_discrete("pgm", obj, params, x0, iters, certify, _rows, gap=1,
-                        best_of=((0, 1), (0, 1)), extra={})
+    return run_discrete("pgm", obj, params, x0, iters, certify, pgm_init, pgm_step, _rows,
+                        ("x_curr", "v", "g"), gap=1, best_of=((0, 1), (0, 1)), extra={})

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .parallel import forked, usable_cores
+from .parallel import forked, spare_cores
 
 __all__ = ["Trace"]
 
@@ -47,13 +47,13 @@ class Trace:
         return self.data[:, j]
 
     def write_csv(self, path) -> None:
-        # Parts of >= 4,096 rows, one per usable core: forked children format
-        # parts 1.., copied in order after the parent's part 0.
+        # Parts of >= 4,096 rows, one per core this process may use: children
+        # format parts 1.. whole (a pipe holds 64 KiB), copied after part 0.
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
-        n_parts = max(1, min(usable_cores(), self.n_rows // 4096))
+        n_parts = max(1, min(1 + spare_cores(), self.n_rows // 4096))
         cuts = [self.n_rows * i // n_parts for i in range(n_parts + 1)]
-        with forked(n_parts, lambda i: "".join(
-                self._blocks(row, cuts[i], cuts[i + 1])).encode()) as parts:
+        with forked(n_parts, lambda i: ["".join(
+                self._blocks(row, cuts[i], cuts[i + 1])).encode()]) as parts:
             with open(path, "wb") as fh:  # after the forks: no child holds its buffer
                 fh.write((",".join(self.columns) + "\n").encode())
                 fh.writelines(b.encode() for b in self._blocks(row, 0, cuts[1]))

@@ -12,7 +12,22 @@ ROOT = Path(__file__).resolve().parents[1]
 LISTING = ROOT / "tools" / "golden.txt"
 
 
-def test_cli_traces_match_the_golden_listing():
+# golden.py with every run's recursion forked off (one spare core, no row
+# minimum); it prints its fork count to stderr
+FORKED = """
+import atexit, os, runpy, sys
+import momcert.driver
+momcert.driver.PIPELINE_MIN_ROWS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+atexit.register(lambda: print(f"forks: {len(forks)}", file=sys.stderr))
+sys.argv = sys.argv[1:]  # python -c FORKED golden.py ...
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def _check(*python_args) -> str:
     # the hashes depend on the numpy and BLAS build the listing was made with
     header = LISTING.read_text().splitlines()[0]
     if header != f"# numpy {np.__version__}":
@@ -20,6 +35,21 @@ def test_cli_traces_match_the_golden_listing():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "golden.py"), "--check", str(LISTING)],
+        [sys.executable, *python_args, str(ROOT / "tools" / "golden.py"),
+         "--check", str(LISTING)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    n = len([line for line in LISTING.read_text().splitlines() if not line.startswith("#")])
+    assert proc.stdout.endswith(f"{n} of {n} lines match\n")
+    return proc.stderr
+
+
+def test_cli_traces_match_the_golden_listing():
+    _check()
+
+
+def test_cli_traces_match_the_golden_listing_with_every_recursion_forked():
+    forks = int(_check("-c", FORKED).rsplit("forks: ", 1)[1])
+    commands = {line.split()[1].split("/")[0] for line in LISTING.read_text().splitlines()
+                if not line.startswith("#")}
+    assert forks >= len(commands)  # a sweep's members stay in their processes

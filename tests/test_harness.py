@@ -637,6 +637,24 @@ class TestParallelRateTable:
         assert [r["certificates_checked"] for r in rows
                 if (r["gamma"], r["omega"]) == (2.0, 1.0)] == [120, 120, 60]
 
+    def test_members_on_two_cores_fork_nothing(self, tmp_path, monkeypatch):
+        # members of 9,001 rows would fork their recursion and a CSV part
+        # writer on a free core; the sweep's two processes hold both cores
+        _cores(monkeypatch, 2)
+        log, fork = tmp_path / "forks", os.fork
+
+        def logged_fork():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        assert main(["sweep", "--problem", "quadratic", "--d", "2", "--q", "0.1",
+                     "-k", "9000", "--gamma", "1,2", "--omega", "0", "--quiet",
+                     "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child_left()
+        assert log.read_text().split() == [str(os.getpid())]  # the sweep's own fork
+
     def test_failed_worker_raises_oserror(self, monkeypatch):
         _cores(monkeypatch, 3)
         parent, run = os.getpid(), momcert.harness.run_experiment
