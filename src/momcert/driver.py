@@ -151,7 +151,8 @@ def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> It
     pack = attrgetter(*fields) if fields else tuple
     values = pack(first)
     nv = sum(isinstance(v, np.ndarray) for v in values)
-    per_block = max(1, 4096 // sum(np.size(v) for v in values))  # about 32 KiB a block
+    # blocks of at most 256 states and about 32 KiB: the parent holds a whole one
+    per_block = max(1, min(256, 4096 // sum(np.size(v) for v in values)))
     if not nv and n < 4 * PIPELINE_MIN_ROWS:
         yield first
         yield from states
@@ -170,14 +171,14 @@ def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> It
         except Exception as err:
             yield pickle.dumps((arrays and np.concatenate(arrays), floats, err))
 
-    state, ks = namedtuple("State", ("k", *fields)) if fields else None, itertools.count(1)
+    shipped, ks = namedtuple("State", ("k", *fields)) if fields else None, itertools.count(1)
     with forked(2, send) as (end,):
         yield first
         while True:  # the caller takes no more than n states
             arrays, recs, err = pickle.load(end)
             if nv and recs:
                 recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
-            yield from recs if state is None else (state(next(ks), *r) for r in recs)
+            yield from recs if shipped is None else (shipped(next(ks), *r) for r in recs)
             if err is not None:
                 raise err
 

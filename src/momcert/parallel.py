@@ -6,7 +6,6 @@ A job of n processes holds n of the usable cores (see spare_cores).
 """
 
 import os
-import signal
 from contextlib import contextmanager
 
 _held = 1  # processes of the forked jobs this process is one of
@@ -47,7 +46,7 @@ def forked(n: int, work):
         yield ends
     except BaseException:
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL; the signal module takes 0.5 ms to import
         raise
     finally:
         _held = held
