@@ -1,9 +1,9 @@
 """A long run's recursion forked off: the same traces and exceptions as in process.
 
 With a spare core, `run_trace` computes a long run's states 1.. in a forked
-child and its rows here. Each exit path of such a run is checked against its
-serial twin: the same trace bytes and summary, or the same exception, and no
-child process left behind.
+child and its rows in the calling process. Each exit path of such a run is
+checked against its serial twin: the same trace bytes and summary, or the
+same exception, and no child process left behind.
 """
 
 import math
