@@ -40,10 +40,10 @@ _BLOWUP_FACTOR = 1e6
 # its row buffer and its table, but no time column, alive during assembly.
 MAX_ROWS = 10**8
 
-# A run forks its recursion from this many rows on, a flow on floats from 4x as
-# many: on 2 cores the fork costs ~1.8 ms, repaid from ~750 rows on arrays (2.4
-# to 5.3 us saved a row) and ~7,800 on floats (0.23 us), see ROADMAP.
-PIPELINE_MIN_ROWS = 2_600
+# A run forks its recursion from this many rows on, a flow on floats from 7x as
+# many. On 2 cores the fork costs ~1.8 ms; forking saves 2.4-5.3 us a row on
+# arrays, repaid from ~1,000 rows, and 0.23 us on floats, from ~10,000.
+PIPELINE_MIN_ROWS = 1_500
 
 
 class RowLimitError(ValueError):
@@ -153,7 +153,7 @@ def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> It
     nv = sum(isinstance(v, np.ndarray) for v in values)
     # blocks of at most 256 states and about 32 KiB: the parent holds a whole one
     per_block = max(1, min(256, 4096 // sum(np.size(v) for v in values)))
-    if not nv and n < 4 * PIPELINE_MIN_ROWS:
+    if not nv and n < 7 * PIPELINE_MIN_ROWS:
         yield first
         yield from states
         return

@@ -194,8 +194,8 @@ def test_short_runs_and_runs_without_a_spare_core_stay_in_process(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     _agm(iters=momcert.driver.PIPELINE_MIN_ROWS - 2)()
-    # a float flow needs four times the rows
-    _sine_flow(dt=1.0, horizon=4 * momcert.driver.PIPELINE_MIN_ROWS - 2.0)()
+    # a float flow needs seven times the rows
+    _sine_flow(dt=1.0, horizon=7 * momcert.driver.PIPELINE_MIN_ROWS - 2.0)()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _agm(iters=momcert.driver.PIPELINE_MIN_ROWS)()
 
