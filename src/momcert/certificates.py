@@ -30,10 +30,7 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, k: int, message: str):
         super().__init__(f"iteration {k}: {message}")
-        self.k, self._message = k, message
-
-    def __reduce__(self):  # a forked recursion sends it pickled
-        return type(self), (self.k, self._message)
+        self.k = k
 
 
 def _stiffness(lipschitz: float, alpha: float, beta: float) -> float:

@@ -14,7 +14,7 @@ import pickle
 import time
 from array import array
 from collections import namedtuple
-from contextlib import closing
+from contextlib import closing, suppress
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -76,9 +76,9 @@ def run_trace(kind: str, obj, params, certify: bool, states: Iterator,
              of a certified run
     head     solver-specific summary entries, read once the last row is in
 
-    A non-finite objective value ends the run at its row; a DivergenceError
-    from rows ends it before row err.k. More than MAX_ROWS rows raise
-    RowLimitError before the first step; a forked recursion changes neither.
+    A non-finite objective value ends the run at its row, a DivergenceError
+    from rows before row err.k; more than MAX_ROWS rows raise RowLimitError
+    before the first step; a forked recursion changes none of it, and raises here.
     """
     if not n_rows <= MAX_ROWS:
         raise RowLimitError(
@@ -144,9 +144,10 @@ def run_trace(kind: str, obj, params, certify: bool, states: Iterator,
 
 
 def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> Iterator:
-    """The first n states, 1.. computed in a forked child that sends pickled
-    blocks of their fields, then its exception, raised here in its turn. They
-    come back as (k, *fields) named tuples, or as tuples."""
+    """The first n states, as named tuples of `fields` or as tuples; 1.. come
+    from a forked child that sends only data, in pickled blocks. Where it stops
+    short, this process's own recursion, held at state 0, steps past the states
+    sent and goes on, so an exception is raised here as in a serial run."""
     first = next(states)
     pack = attrgetter(*fields) if fields else tuple
     values = pack(first)
@@ -160,27 +161,25 @@ def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> It
 
     def send(_):  # in the child; blocks grow from 1 state, for an early first row
         arrays, floats, size = [], [], 1
-        try:
-            for j, state in enumerate(itertools.islice(states, n - 1), 1):
-                values = pack(state)
-                arrays += values[:nv]
-                floats.append(values[nv:])
-                if len(floats) == size or j == n - 1:
-                    yield pickle.dumps((arrays and np.concatenate(arrays), floats, None))
-                    arrays, floats, size = [], [], min(2 * size, per_block)
-        except Exception as err:
-            yield pickle.dumps((arrays and np.concatenate(arrays), floats, err))
+        for j, state in enumerate(itertools.islice(states, n - 1), 1):
+            values = pack(state)
+            arrays += values[:nv]
+            floats.append(values[nv:])
+            if len(floats) == size or j == n - 1:
+                yield pickle.dumps((arrays and np.concatenate(arrays), floats))
+                arrays, floats, size = [], [], min(2 * size, per_block)
 
-    shipped, ks = namedtuple("State", ("k", *fields)) if fields else None, itertools.count(1)
+    shipped, sent = namedtuple("State", fields) if fields else None, 1
     with forked(2, send) as (end,):
         yield first
-        while True:  # the caller takes no more than n states
-            arrays, recs, err = pickle.load(end)
-            if nv and recs:
-                recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
-            yield from recs if shipped is None else (shipped(next(ks), *r) for r in recs)
-            if err is not None:
-                raise err
+        with suppress(EOFError, pickle.UnpicklingError):  # the child stopped short
+            while True:
+                arrays, recs = pickle.load(end)
+                if nv:
+                    recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
+                yield from recs if shipped is None else itertools.starmap(shipped, recs)
+                sent += len(recs)
+        yield from itertools.islice(states, sent - 1, None)
 
 
 def _recursion(init, step, obj, params, x0: np.ndarray) -> Iterator:

@@ -431,7 +431,8 @@ def rate_table(
     All configs must target the same problem instance (same problem, seed
     and keys of the problem's table row) so the rows are comparable. Each is
     built before the first run; members i, i + n, ... then run in process
-    i of n, one per usable core, with the rows and files of a serial run.
+    i of n, one per usable core, with the rows and files of a serial run; a
+    member that raises runs again here, in config order, after the others.
     Rows are sorted by (regime, gamma, omega), count certificates_passed
     of certificates_checked, and carry the run's exit_code.
     """
@@ -447,22 +448,24 @@ def rate_table(
     members = [(c, (obj, x0, build_params(c, obj))) for c in configs]
     n = min(usable_cores(), len(members))
 
-    def share(i: int) -> list:  # row of members i, i + n, ..., or their exception
+    def row(c: ExperimentConfig, built: tuple) -> dict:
+        return _table_row(run_experiment(c, write_traces, built))
+
+    def share(i: int) -> list:  # rows of members i, i + n, ..., None where one raised
         rows = []
-        for c, built in members[i::n]:
+        for member in members[i::n]:
             try:
-                rows.append(_table_row(run_experiment(c, write_traces, built)))
-            except Exception as err:
-                rows.append(err)
+                rows.append(row(*member))
+            except Exception:
+                rows.append(None)
         return rows
 
     with forked(n, lambda i: [pickle.dumps(share(i))]) as ends:
         shares = [share(0)]
         sent = [end.read() for end in ends]
     shares += [pickle.loads(data) for data in sent]  # once every worker exited 0
-    rows = [shares[j % n][j // n] for j in range(len(members))]
-    if errors := [row for row in rows if isinstance(row, Exception)]:
-        raise errors[0]  # the first in config order
+    # a member that raised runs again here, in config order
+    rows = [shares[j % n][j // n] or row(*member) for j, member in enumerate(members)]
     # pgm has no gamma: its NaN compares false both ways, so rank it as 0
     rows.sort(key=lambda r: (r["regime"], np.nan_to_num(r["gamma"]), r["omega"]))
     return rows

@@ -3,8 +3,9 @@
 None of these is on a run's path: they audit the package from outside
 (central-difference gradients, the proximal descent inequality, the
 flow's field and a classical RK4 step built from it, the solvers' steps
-and energies on Python float scalars) or adapt a smooth objective to the
-composite solver for the equivalence tests.
+and energies on Python float scalars), adapt a smooth objective to the
+composite solver for the equivalence tests, or raise an exception that
+pickle cannot rebuild.
 """
 
 from __future__ import annotations
@@ -205,3 +206,11 @@ def prox_descent_check(
         - 0.5 * mu * float(dy @ dy)
     )
     return bool(lhs <= rhs + 1e-10 * max(1.0, abs(obj.total(x_ref))))
+
+
+class TwoArgError(Exception):
+    """An exception whose __init__(code, message) differs from its args, so
+    that pickle rebuilds it by calling TwoArgError(text) and fails."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(f"{message} (code {code})")

@@ -26,6 +26,15 @@ sys.argv = sys.argv[1:]  # python -c FORKED golden.py ...
 runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
+# FORKED with every recursion child exiting after its first block, so that the
+# calling process computes the rest of every forked run itself
+CUT_SHORT = """
+import itertools
+import momcert.driver
+forked = momcert.driver.forked
+momcert.driver.forked = lambda n, work: forked(n, lambda i: itertools.islice(work(i), 1))
+""" + FORKED
+
 
 def _check(*python_args) -> str:
     # the hashes depend on the numpy and BLAS build the listing was made with
@@ -48,8 +57,16 @@ def test_cli_traces_match_the_golden_listing():
     _check()
 
 
-def test_cli_traces_match_the_golden_listing_with_every_recursion_forked():
-    forks = int(_check("-c", FORKED).rsplit("forks: ", 1)[1])
+def _check_forked(script: str) -> None:
+    forks = int(_check("-c", script).rsplit("forks: ", 1)[1])
     commands = {line.split()[1].split("/")[0] for line in LISTING.read_text().splitlines()
                 if not line.startswith("#")}
     assert forks >= len(commands)  # a sweep's members stay in their processes
+
+
+def test_cli_traces_match_the_golden_listing_with_every_recursion_forked():
+    _check_forked(FORKED)
+
+
+def test_cli_traces_match_the_golden_listing_with_every_recursion_child_cut_short():
+    _check_forked(CUT_SHORT)

@@ -51,6 +51,8 @@ from momcert.harness import (
 from momcert.oracle import CompositeObjective
 from momcert.params import _BUNDLES
 
+from _reference import TwoArgError
+
 
 def _cli_env():
     """The environment for a `python -m momcert` subprocess of this checkout."""
@@ -686,6 +688,23 @@ class TestParallelRateTable:
         with pytest.raises(ZeroDivisionError, match="^member at omega 0.25$"):
             rate_table([ExperimentConfig(omega=w, **self.BASE)
                         for w in (0.0, 0.25, 0.5, 0.75)])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_member_exception_pickle_cannot_rebuild_reraises_unchanged(self, monkeypatch,
+                                                                      cores):
+        # member 1 raises in a worker on two and on three cores
+        _cores(monkeypatch, cores)
+        run = momcert.harness.run_experiment
+
+        def flaky(config, *args):
+            if config.omega == 0.25:
+                raise TwoArgError(1, f"member at omega {config.omega}")
+            return run(config, *args)
+
+        monkeypatch.setattr(momcert.harness, "run_experiment", flaky)
+        with pytest.raises(TwoArgError, match=r"^member at omega 0.25 \(code 1\)$"):
+            rate_table([ExperimentConfig(omega=w, **self.BASE) for w in (0.0, 0.25, 0.5)])
         _assert_no_child_left()
 
     def test_benchmark_smoke_sweep_counts_the_parents_steps(self):

@@ -1,14 +1,17 @@
 """A long run's recursion forked off: the same traces and exceptions as in process.
 
 With a spare core, `run_trace` computes a long run's states 1.. in a forked
-child and its rows in the calling process. Each exit path of such a run is
-checked against its serial twin: the same trace bytes and summary, or the
-same exception, and no child process left behind.
+child and its rows in the calling process. The child sends only states;
+whatever it does not send, because it raised, died or was cut off, the
+calling process computes itself, so every exception is raised where it
+happens. Each exit path of such a run is checked against its serial twin:
+the same trace bytes and summary, or the same exception, and no child
+process left behind.
 """
 
+import itertools
 import math
 import os
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,6 @@ import pytest
 
 import momcert.driver
 from momcert import (
-    DivergenceError,
     agm_params_sc,
     agm_run,
     ode_params_sc,
@@ -24,8 +26,9 @@ from momcert import (
     pgm_run,
     quadratic_problem,
 )
-from momcert.driver import RowLimitError
-from momcert.harness import ConfigError, ExperimentConfig, build_params, build_problem
+from momcert.harness import ExperimentConfig, build_params, build_problem
+
+from _reference import TwoArgError
 
 
 def _assert_no_child_left():
@@ -73,16 +76,34 @@ def _built(**config):
     return obj, build_params(c, obj), x0
 
 
-def _failing(obj, name, after):
-    """obj whose callable `name` raises ValueError from call after + 1 on."""
+def _failing(obj, name, after, error=ValueError):
+    """obj whose callable `name` raises error(message) from call after + 1 on."""
     fn, calls = getattr(obj, name), [0]
 
     def call(x):
         calls[0] += 1
         if calls[0] > after:
-            raise ValueError(f"{name} failed at call {calls[0]}")
+            raise error(f"{name} failed at call {calls[0]}")
         return fn(x)
     return replace(obj, **{name: call})
+
+
+def _holding_a_lambda(message):
+    err = ValueError(message)
+    err.undo = lambda: None  # pickle cannot send it
+    return err
+
+
+def _dying(obj, after=57):
+    """obj whose grad ends a forked child at call after + 1, without an exception."""
+    grad, calls, parent = obj.grad, [0], os.getpid()
+
+    def call(x):
+        calls[0] += 1
+        if calls[0] > after and os.getpid() != parent:
+            os._exit(1)
+        return grad(x)
+    return replace(obj, grad=call)
 
 
 def _sine_flow(x0=2.0, dt=1e-2, horizon=20.0, certify=True, change=None):
@@ -150,6 +171,7 @@ CASES = {
                                 _sine_flow(change=lambda o: _failing(o, "grad", 41))),
     "flow-floats-eval-raises": ("ValueError",
                                 _sine_flow(change=lambda o: _failing(o, "eval", 17))),
+    "flow-floats-child-dies": ("finished", _sine_flow(change=lambda o: _dying(o, 400))),
     # flows on (1,) and (3,) arrays
     "flow-d1-finished": ("finished", _array_flow(1)),
     "flow-d3-finished": ("finished", _array_flow(3)),
@@ -167,6 +189,13 @@ CASES = {
     "agm-d3-drift": ("RuntimeError", _agm(change=_drifting)),
     "agm-d3-grad-raises": ("ValueError", _agm(change=lambda o: _failing(o, "grad", 57))),
     "agm-d3-eval-raises": ("ValueError", _agm(change=lambda o: _failing(o, "eval", 101))),
+    # exceptions that pickle cannot send, and a child that dies without one
+    "agm-d3-grad-raises-two-args": (
+        "TwoArgError",
+        _agm(change=lambda o: _failing(o, "grad", 57, lambda m: TwoArgError(1, m)))),
+    "agm-d3-grad-raises-lambda": (
+        "ValueError", _agm(change=lambda o: _failing(o, "grad", 57, _holding_a_lambda))),
+    "agm-d3-child-dies": ("finished", _agm(change=_dying)),
     # pgm on (3,) arrays
     "pgm-d3-finished": ("finished", _pgm()),
     "pgm-d3-blows-up": ("blew-up", _pgm(iters=3000, h=1.0)),
@@ -200,12 +229,28 @@ def test_short_runs_and_runs_without_a_spare_core_stay_in_process(monkeypatch):
     _agm(iters=momcert.driver.PIPELINE_MIN_ROWS)()
 
 
-@pytest.mark.parametrize("err", [
-    DivergenceError(3, "iterate is not finite"),
-    RowLimitError("a trace of 1e+09 rows exceeds the limit of 1e+08 rows"),
-    ConfigError("unknown problem 'x'"),
-])
-def test_run_errors_survive_pickling(err):
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is type(err) and str(back) == str(err)
-    assert getattr(back, "k", None) == getattr(err, "k", None)
+def _stopping(work, blocks, half):
+    """A forked child's work cut to its first `blocks` blocks, then, if
+    `half`, half of the next block and a failed exit."""
+    def cut(i):
+        chunks = work(i)
+        yield from itertools.islice(chunks, blocks)
+        if half:
+            chunk = next(chunks)
+            yield chunk[:len(chunk) // 2]
+            os._exit(1)
+    return cut
+
+
+@pytest.mark.parametrize("blocks,half", [(0, True), (3, True), (1, False), (4, False)])
+@pytest.mark.parametrize("name", ["agm-d3-finished", "flow-floats-finished",
+                                  "agm-d3-grad-raises"])
+def test_a_child_that_stops_short_leaves_the_rest_to_this_process(monkeypatch, name,
+                                                                  blocks, half):
+    forked = momcert.driver.forked
+    monkeypatch.setattr(momcert.driver, "forked",
+                        lambda n, work: forked(n, _stopping(work, blocks, half)))
+    path, run = CASES[name]
+    serial, piped = _twins(monkeypatch, run)
+    assert serial[0] == path
+    assert piped == serial
