@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import pickle
 import time
 from array import array
 from collections import namedtuple
-from contextlib import closing, suppress
+from contextlib import closing
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -145,9 +144,10 @@ def run_trace(kind: str, obj, params, certify: bool, states: Iterator,
 
 def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> Iterator:
     """The first n states, as named tuples of `fields` or as tuples; 1.. come
-    from a forked child that sends only data, in pickled blocks. Where it stops
-    short, this process's own recursion, held at state 0, steps past the states
-    sent and goes on, so an exception is raised here as in a serial run."""
+    from a forked child that sends only data, in blocks that forked pickles.
+    Where it stops short, this process's own recursion, held at state 0, steps
+    past the states sent and goes on, so an exception is raised here as in a
+    serial run."""
     first = next(states)
     pack = attrgetter(*fields) if fields else tuple
     values = pack(first)
@@ -166,20 +166,18 @@ def _streamed(states: Iterator, n: int, fields: Optional[tuple[str, ...]]) -> It
             arrays += values[:nv]
             floats.append(values[nv:])
             if len(floats) == size or j == n - 1:
-                yield pickle.dumps((arrays and np.concatenate(arrays), floats))
+                yield arrays and np.concatenate(arrays), floats
                 arrays, floats, size = [], [], min(2 * size, per_block)
 
     shipped, sent = namedtuple("State", fields) if fields else None, 1
-    with forked(2, send) as (end,):
+    with forked(2, send) as (blocks,):
         yield first
-        with suppress(EOFError, pickle.UnpicklingError):  # the child stopped short
-            while True:
-                arrays, recs = pickle.load(end)
-                if nv:
-                    recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
-                yield from recs if shipped is None else itertools.starmap(shipped, recs)
-                sent += len(recs)
-        yield from itertools.islice(states, sent - 1, None)
+        for arrays, recs in blocks:
+            if nv:
+                recs = [(*a, *f) for a, f in zip(arrays.reshape(len(recs), nv, -1), recs)]
+            yield from recs if shipped is None else itertools.starmap(shipped, recs)
+            sent += len(recs)
+        yield from itertools.islice(states, sent - 1, None)  # past where the child stopped
 
 
 def _recursion(init, step, obj, params, x0: np.ndarray) -> Iterator:

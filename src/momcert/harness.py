@@ -20,10 +20,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import pickle
 import re
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
@@ -432,7 +432,7 @@ def rate_table(
     and keys of the problem's table row) so the rows are comparable. Each is
     built before the first run; members i, i + n, ... then run in process
     i of n, one per usable core, with the rows and files of a serial run; a
-    member that raises runs again here, in config order, after the others.
+    member a process did not deliver runs again here, in config order, last.
     Rows are sorted by (regime, gamma, omega), count certificates_passed
     of certificates_checked, and carry the run's exit_code.
     """
@@ -451,21 +451,14 @@ def rate_table(
     def row(c: ExperimentConfig, built: tuple) -> dict:
         return _table_row(run_experiment(c, write_traces, built))
 
-    def share(i: int) -> list:  # rows of members i, i + n, ..., None where one raised
-        rows = []
-        for member in members[i::n]:
-            try:
-                rows.append(row(*member))
-            except Exception:
-                rows.append(None)
-        return rows
+    def share(i: int):  # rows of members i, i + n, ... up to the first that raises
+        with suppress(Exception):
+            yield from (row(*member) for member in members[i::n])
 
-    with forked(n, lambda i: [pickle.dumps(share(i))]) as ends:
-        shares = [share(0)]
-        sent = [end.read() for end in ends]
-    shares += [pickle.loads(data) for data in sent]  # once every worker exited 0
-    # a member that raised runs again here, in config order
-    rows = [shares[j % n][j // n] or row(*member) for j, member in enumerate(members)]
+    with forked(n, share) as ends:
+        sent = [list(share(0)), *map(list, ends)]
+    rows = [sent[j % n][j // n] if j // n < len(sent[j % n]) else row(*member)
+            for j, member in enumerate(members)]  # the rest run here, in config order
     # pgm has no gamma: its NaN compares false both ways, so rank it as 0
     rows.sort(key=lambda r: (r["regime"], np.nan_to_num(r["gamma"]), r["omega"]))
     return rows

@@ -1,12 +1,15 @@
 """The one fork path: share 0 of a job runs here, shares 1.. in forked children.
 
+A child pickles its items into a pipe; only those that arrive whole come back,
+never an exception or an exit status, and the caller computes the rest itself.
 A child ends in os._exit, and OpenBLAS stops its thread pool in a fork
 handler, so forking a threaded process and calling BLAS in the child is safe.
 A job of n processes holds n of the usable cores (see spare_cores).
 """
 
 import os
-from contextlib import contextmanager
+import pickle
+from contextlib import contextmanager, suppress
 
 _held = 1  # processes of the forked jobs this process is one of
 
@@ -24,12 +27,12 @@ def spare_cores() -> int:
 
 @contextmanager
 def forked(n: int, work):
-    """Fork n - 1 children; child i sends the bytes chunks of work(i) through a pipe.
+    """Fork n - 1 children; child i pickles each item of work(i) into a pipe.
 
-    Yields the read ends in share order. On leaving, every read end is
+    Yields, in share order, an iterator per child over the items that arrived
+    whole, which ends wherever the child stopped. On leaving, every read end is
     closed, then every child reaped; an error in the block (GeneratorExit
-    included) first kills them and propagates unchanged. Else a failed
-    child raises OSError.
+    included) first kills them and propagates unchanged.
     """
     global _held
     pids, ends, held, _held = [], [], _held, _held * n
@@ -43,7 +46,7 @@ def forked(n: int, work):
             finally:
                 os.close(w)
             pids.append(pid)
-        yield ends
+        yield [_received(end) for end in ends]
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL; the signal module takes 0.5 ms to import
@@ -52,20 +55,25 @@ def forked(n: int, work):
         _held = held
         for end in ends:  # a child blocked on a closed pipe fails and exits
             end.close()
-        failed = any([os.waitpid(pid, 0)[1] for pid in pids])
-    if failed:
-        raise OSError("a forked worker process failed")
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _received(end):
+    """The items read from `end` up to the first that did not arrive whole."""
+    with suppress(EOFError, pickle.UnpicklingError):
+        while True:
+            yield pickle.load(end)
 
 
 def _child(ends, w: int, work, i: int) -> None:
-    """In a forked child: send work(i)'s chunks through pipe end w, then exit."""
+    """In a forked child: pickle work(i)'s items into pipe end w, then exit."""
     try:
         for end in ends:  # so the parent closing its ends stops a blocked write
             end.close()
         with open(w, "wb") as fh:
-            for chunk in work(i):
-                fh.write(chunk)
+            for item in work(i):
+                pickle.dump(item, fh)
                 fh.flush()
-    except BaseException:
-        os._exit(1)
-    os._exit(0)
+    finally:
+        os._exit(0)

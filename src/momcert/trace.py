@@ -10,7 +10,6 @@ same seeded configuration produce identical files.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,23 +47,25 @@ class Trace:
 
     def write_csv(self, path) -> None:
         # Parts of >= 4,096 rows, one per core this process may use: children
-        # format parts 1.. whole (a pipe holds 64 KiB), copied after part 0.
+        # format parts 1.. whole, in 256-row blocks (a pipe holds 64 KiB); this
+        # process writes part 0, then each block sent, and formats the rest.
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
         n_parts = max(1, min(1 + spare_cores(), self.n_rows // 4096))
         cuts = [self.n_rows * i // n_parts for i in range(n_parts + 1)]
-        with forked(n_parts, lambda i: ["".join(
-                self._blocks(row, cuts[i], cuts[i + 1])).encode()]) as parts:
+        with forked(n_parts, lambda i: list(self._blocks(row, *cuts[i:i + 2]))) as parts:
             with open(path, "wb") as fh:  # after the forks: no child holds its buffer
                 fh.write((",".join(self.columns) + "\n").encode())
-                fh.writelines(b.encode() for b in self._blocks(row, 0, cuts[1]))
-                for part in parts:
-                    shutil.copyfileobj(part, fh)
+                for lo, hi, blocks in zip(cuts, cuts[1:], [(), *parts]):
+                    for block in blocks:
+                        fh.write(block)
+                        lo += 256
+                    fh.writelines(self._blocks(row, lo, hi))
 
     def _blocks(self, row: str, lo: int, hi: int):
-        # blocks of rows bound the memory held by Python floats
+        # encoded blocks of rows bound the memory held by Python floats
         for start in range(lo, hi, 256):
             block = self.data[start:min(start + 256, hi)]
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+            yield ((row * len(block)) % tuple(block.ravel().tolist())).encode()
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:

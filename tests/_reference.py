@@ -4,13 +4,17 @@ None of these is on a run's path: they audit the package from outside
 (central-difference gradients, the proximal descent inequality, the
 flow's field and a classical RK4 step built from it, the solvers' steps
 and energies on Python float scalars), adapt a smooth objective to the
-composite solver for the equivalence tests, or raise an exception that
-pickle cannot rebuild.
+composite solver for the equivalence tests, raise an exception that
+pickle cannot rebuild, or cut a forked child's pickled items mid-item.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+from types import SimpleNamespace
 from dataclasses import fields
 from typing import Optional, Sequence
 
@@ -214,3 +218,19 @@ class TwoArgError(Exception):
 
     def __init__(self, code: int, message: str):
         super().__init__(f"{message} (code {code})")
+
+
+def cutting_pickle(items: int) -> SimpleNamespace:
+    """A stand-in for momcert.parallel's pickle: a forked child writes its
+    first `items` items whole, then half of the next one's bytes, and exits."""
+    written = itertools.count()
+
+    def dump(obj, fh):
+        data = pickle.dumps(obj)
+        if next(written) == items:
+            fh.write(data[:len(data) // 2])
+            fh.flush()
+            os._exit(1)
+        fh.write(data)
+    return SimpleNamespace(dump=dump, load=pickle.load,
+                           UnpicklingError=pickle.UnpicklingError)

@@ -26,13 +26,24 @@ sys.argv = sys.argv[1:]  # python -c FORKED golden.py ...
 runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
-# FORKED with every recursion child exiting after its first block, so that the
-# calling process computes the rest of every forked run itself
+# FORKED with every forked child exiting after its first item: a recursion
+# child after its first block, a CSV part writer after its first 256 rows and
+# a sweep worker after its first row, so that the calling process computes the
+# rest itself. A child that had more to send prints "cut: <module>" to stderr.
 CUT_SHORT = """
-import itertools
-import momcert.driver
-forked = momcert.driver.forked
-momcert.driver.forked = lambda n, work: forked(n, lambda i: itertools.islice(work(i), 1))
+import itertools, os
+import momcert.driver, momcert.harness, momcert.trace
+
+def cut(module, forked):
+    def first(items):
+        items = iter(items)
+        yield from itertools.islice(items, 1)
+        if next(items, None) is not None:
+            os.write(2, f"cut: {module.__name__}\\n".encode())
+    module.forked = lambda n, work: forked(n, lambda i: first(work(i)))
+
+for module in (momcert.driver, momcert.trace, momcert.harness):
+    cut(module, module.forked)
 """ + FORKED
 
 
@@ -57,16 +68,21 @@ def test_cli_traces_match_the_golden_listing():
     _check()
 
 
-def _check_forked(script: str) -> None:
-    forks = int(_check("-c", script).rsplit("forks: ", 1)[1])
+def _check_forked(script: str) -> str:
+    stderr = _check("-c", script)
     commands = {line.split()[1].split("/")[0] for line in LISTING.read_text().splitlines()
                 if not line.startswith("#")}
-    assert forks >= len(commands)  # a sweep's members stay in their processes
+    # a sweep's members stay in their processes
+    assert int(stderr.rsplit("forks: ", 1)[1]) >= len(commands)
+    return stderr
 
 
 def test_cli_traces_match_the_golden_listing_with_every_recursion_forked():
     _check_forked(FORKED)
 
 
-def test_cli_traces_match_the_golden_listing_with_every_recursion_child_cut_short():
-    _check_forked(CUT_SHORT)
+def test_cli_traces_match_the_golden_listing_with_every_forked_child_cut_short():
+    cut = _check_forked(CUT_SHORT).splitlines()
+    # ode-pl-sine-fine writes its CSV in two parts, sweep-quadratic forks a worker
+    for module in ("driver", "trace", "harness"):
+        assert f"cut: momcert.{module}" in cut

@@ -51,7 +51,7 @@ from momcert.harness import (
 from momcert.oracle import CompositeObjective
 from momcert.params import _BUNDLES
 
-from _reference import TwoArgError
+from _reference import TwoArgError, cutting_pickle
 
 
 def _cli_env():
@@ -104,6 +104,12 @@ class TestFitLinearRate:
         gaps = 7.0 * 1.1 ** (-k)
         gaps[200:] = 1e-16 * np.abs(np.sin(k[200:]))  # noise floor
         assert fit_linear_rate(_gap_trace(gaps)) == pytest.approx(0.1, rel=1e-9)
+
+
+def _exiting_after_the_first(items):
+    """A forked child's items cut to the first: the child exits once it is sent."""
+    yield next(iter(items))
+    os._exit(1)
 
 
 class TestTraceIo:
@@ -173,13 +179,30 @@ class TestTraceIo:
             return blocks(self, row, lo, hi)
 
         monkeypatch.setattr(Trace, "_blocks", flaky)
-        # 80 KB a part, more than a pipe holds: a child blocks until read
+        # 80 KB a part, more than a pipe holds: a child blocks until read. A
+        # part a child did not send, this process formats, and raises as it
         trace = Trace(kind="ode", columns=("a",), data=np.full((3 * 4096, 1), 0.1))
-        with pytest.raises(OSError if failing == "child" else RuntimeError):
+        with pytest.raises(RuntimeError, match="^formatting failed$"):
             trace.write_csv(tmp_path / "t.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cut", ["exit", "mid-block"])
+    def test_csv_part_writer_that_stops_short_leaves_the_rest_here(self, tmp_path,
+                                                                   monkeypatch, cut):
+        # each part writer sends its first 256-row block whole, then exits, or
+        # half of its second block's bytes, then exits; this process formats
+        # the rest of every part
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        if cut == "exit":
+            forked = momcert.trace.forked
+            monkeypatch.setattr(momcert.trace, "forked", lambda n, work: forked(
+                n, lambda i: _exiting_after_the_first(work(i))))
+        else:
+            monkeypatch.setattr(momcert.parallel, "pickle", cutting_pickle(1))
+        data = np.random.default_rng(3).standard_normal((3 * 4096 + 17, 3))
+        self._assert_csv_matches(tmp_path, data)
 
     def test_json_summary_is_strict(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", d=3, q=0.1, iters=30,
@@ -657,18 +680,30 @@ class TestParallelRateTable:
         _assert_no_child_left()
         assert log.read_text().split() == [str(os.getpid())]  # the sweep's own fork
 
-    def test_failed_worker_raises_oserror(self, monkeypatch):
-        _cores(monkeypatch, 3)
-        parent, run = os.getpid(), momcert.harness.run_experiment
+    @pytest.mark.parametrize("cut", ["exit", "mid-row"])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_worker_that_dies_leaves_its_members_to_this_process(self, tmp_path,
+                                                                   monkeypatch, cores, cut):
+        # a worker exits at its first member, or after its first row and half
+        # of its second row's bytes; this process runs every member not sent
+        configs = [ExperimentConfig(omega=w, **self.BASE) for w in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(os, "fork", lambda: pytest.fail("forked"))
+            serial = self._sweep(tmp_path, monkeypatch, 1)
+            serial_rows = rate_table(configs)
+        if cut == "exit":
+            parent, run = os.getpid(), momcert.harness.run_experiment
 
-        def die_in_a_worker(*args):
-            if os.getpid() != parent:
-                os._exit(3)
-            return run(*args)
+            def die_in_a_worker(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return run(*args)
 
-        monkeypatch.setattr(momcert.harness, "run_experiment", die_in_a_worker)
-        with pytest.raises(OSError):
-            rate_table([ExperimentConfig(omega=w, **self.BASE) for w in (0.0, 0.5, 1.0)])
+            monkeypatch.setattr(momcert.harness, "run_experiment", die_in_a_worker)
+        else:
+            monkeypatch.setattr(momcert.parallel, "pickle", cutting_pickle(1))
+        assert self._sweep(tmp_path, monkeypatch, cores) == serial  # exit 0, no child left
+        assert rate_table(configs) == serial_rows
         _assert_no_child_left()
 
     @pytest.mark.parametrize("cores", [1, 2, 3])

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import momcert.driver
+import momcert.parallel
 from momcert import (
     agm_params_sc,
     agm_run,
@@ -28,7 +29,7 @@ from momcert import (
 )
 from momcert.harness import ExperimentConfig, build_params, build_problem
 
-from _reference import TwoArgError
+from _reference import TwoArgError, cutting_pickle
 
 
 def _assert_no_child_left():
@@ -229,17 +230,15 @@ def test_short_runs_and_runs_without_a_spare_core_stay_in_process(monkeypatch):
     _agm(iters=momcert.driver.PIPELINE_MIN_ROWS)()
 
 
-def _stopping(work, blocks, half):
-    """A forked child's work cut to its first `blocks` blocks, then, if
-    `half`, half of the next block and a failed exit."""
-    def cut(i):
-        chunks = work(i)
-        yield from itertools.islice(chunks, blocks)
-        if half:
-            chunk = next(chunks)
-            yield chunk[:len(chunk) // 2]
-            os._exit(1)
-    return cut
+def _stopping(monkeypatch, blocks, half):
+    """Cut a forked recursion child to its first `blocks` blocks, then, if
+    `half`, half of the next block's pickled bytes and a failed exit."""
+    if half:
+        monkeypatch.setattr(momcert.parallel, "pickle", cutting_pickle(blocks))
+    else:
+        forked = momcert.driver.forked
+        monkeypatch.setattr(momcert.driver, "forked", lambda n, work: forked(
+            n, lambda i: itertools.islice(work(i), blocks)))
 
 
 @pytest.mark.parametrize("blocks,half", [(0, True), (3, True), (1, False), (4, False)])
@@ -247,9 +246,7 @@ def _stopping(work, blocks, half):
                                   "agm-d3-grad-raises"])
 def test_a_child_that_stops_short_leaves_the_rest_to_this_process(monkeypatch, name,
                                                                   blocks, half):
-    forked = momcert.driver.forked
-    monkeypatch.setattr(momcert.driver, "forked",
-                        lambda n, work: forked(n, _stopping(work, blocks, half)))
+    _stopping(monkeypatch, blocks, half)
     path, run = CASES[name]
     serial, piped = _twins(monkeypatch, run)
     assert serial[0] == path
