@@ -70,10 +70,10 @@ def test_cli_traces_match_the_golden_listing():
 
 def _check_forked(script: str) -> str:
     stderr = _check("-c", script)
+    forks = int(stderr.rsplit("forks: ", 1)[1])
     commands = {line.split()[1].split("/")[0] for line in LISTING.read_text().splitlines()
                 if not line.startswith("#")}
-    # a sweep's members stay in their processes
-    assert int(stderr.rsplit("forks: ", 1)[1]) >= len(commands)
+    assert forks >= len(commands)  # a sweep's members stay in their processes
     return stderr
 
 
