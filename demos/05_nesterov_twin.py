@@ -17,7 +17,6 @@ from momcert import (
     agm_init,
     agm_params_nesterov,
     agm_step,
-    nesterov_reference_step,
     quadratic_problem,
 )
 
@@ -44,8 +43,9 @@ def main() -> None:
     print(f"  {'k':>3}  {'|x - x_ref|':>12}  {'|y - y_ref|':>12}  {'gap':>12}")
     for k in range(1, 16):
         state = agm_step(state, obj, params)
-        x_ref, y_next = nesterov_reference_step(y_prev, y_curr, tau,
-                                                params.h, obj)
+        # the classical step: extrapolate, then a gradient step of size h^2
+        x_ref = y_curr + tau * (y_curr - y_prev)
+        y_next = x_ref - params.h * params.h * obj.grad(x_ref)
         dx = float(np.linalg.norm(state.x - x_ref))
         dy = float(np.linalg.norm(state.y - y_curr))
         gap = obj.eval(state.x) - obj.min_value

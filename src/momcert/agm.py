@@ -50,7 +50,6 @@ __all__ = [
     "agm_step",
     "agm_energy",
     "agm_run",
-    "nesterov_reference_step",
 ]
 
 
@@ -190,20 +189,3 @@ def agm_run(
                         ("x", "v", "grad_x", "hg", "grad_sq"), gap=0,
                         best_of=((0,), (0, 1)), extra={"gamma": params.gamma})
 
-
-def nesterov_reference_step(
-    y_prev: np.ndarray,
-    y_curr: np.ndarray,
-    tau: float,
-    h: float,
-    obj: SmoothObjective,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the classical two-sequence accelerated scheme.
-
-    x = y_k + tau (y_k - y_{k-1}); y_{k+1} = x - h^2 grad f(x). Written
-    independently of `agm_step` on purpose: the equivalence of the two
-    under gamma = 1 + alpha h is something the tests verify, not assume.
-    """
-    x = y_curr + tau * (y_curr - y_prev)
-    y_next = x - h * h * obj.grad(x)
-    return x, y_next

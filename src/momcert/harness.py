@@ -348,7 +348,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     """
     config = replace(config).validated()
     if write:
-        paths = _trace_paths(config)
+        paths = _out_paths(config, *_trace_names(config))
     obj, x0 = built[:2] if built else build_problem(config)
     bundle = built[2] if built else build_params(config, obj)
     solver = config.resolved_solver()
@@ -380,17 +380,22 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     return trace
 
 
-def _trace_paths(config: ExperimentConfig) -> list[Path]:
-    """The run's trace CSV and summary JSON; ConfigError if either is unwritable."""
+def _trace_names(config: ExperimentConfig) -> tuple[str, str]:
+    """The run's trace CSV and summary JSON file names."""
     base = _default_basename(config)
-    return _out_paths(config, config.csv or f"{base}.csv", config.json or f"{base}.json")
+    return config.csv or f"{base}.csv", config.json or f"{base}.json"
 
 
 def _out_paths(config: ExperimentConfig, *names: str) -> list[Path]:
-    """The output directory's files `names`; ConfigError, creating nothing, if unwritable."""
+    """The output directory's files `names`; ConfigError, creating nothing, if
+    one is unwritable or two name the same file."""
     out_dir = Path(config.out or os.environ.get(OUT_ENV_VAR) or ".")
     made = (out_dir, *out_dir.parents)[:-1]  # _write may make these, no other directory
+    seen = set()
     for path in (paths := [out_dir / name for name in names]):
+        if (key := os.path.abspath(path)) in seen:
+            raise ConfigError(f"cannot write {path}: another output names the same file")
+        seen.add(key)
         home = Path(os.path.normpath(path.parent))
         while home in made and not home.exists():
             home = home.parent
@@ -646,20 +651,22 @@ def _cmd_table(args: argparse.Namespace, sweep: bool) -> int:
     table only when --csv names it. Exits with the worst run's exit code."""
     configs = _sweep_configs(args)
     base = configs[0]
+    if base.json is not None:
+        raise ConfigError("sweep and rates take no json: they write no summary JSON")
     name = base.csv or (f"sweep_{base.problem}_s{base.seed}_rates.csv" if sweep else None)
-    paths = _out_paths(base, name) if name else []
     # --csv names the sweep table; traces keep their default basenames
-    members = [replace(c, csv=None, json=None) for c in configs]
+    members = [replace(c, csv=None) for c in configs]
+    names = [name] if name else []
     if sweep:  # every trace name too, so a refused sweep writes nothing
-        for member in members:
-            _trace_paths(member)
+        names += [n for member in members for n in _trace_names(member)]
+    table = _out_paths(base, *names)[0] if name else None
     rows = rate_table(members, write_traces=sweep)
-    for path in paths:
-        _write(path, lambda path: rate_table_csv(rows, path))
+    if table:
+        _write(table, lambda path: rate_table_csv(rows, path))
     if not base.quiet:
         print(rate_table_text(rows))
         if sweep:
-            print(f"wrote {paths[0]}")
+            print(f"wrote {table}")
     return max(r["exit_code"] for r in rows)
 
 

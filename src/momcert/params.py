@@ -6,13 +6,7 @@ theta), the per-step contraction factor A, the geometric rate rho, the
 positivity margin R_omega entering the gap bound, the gap bound's
 `prefactor`, and the prescription for the initial velocity. The discrete
 bundles also cache, as `scalars`, the 0-d arrays their step and energy
-kernels read; it is not a field. Bundles are frozen; anything downstream can re-audit
-one with `check_constraints`, which feeds the bundle's own inputs back
-through the constructor that made it (its row of `_BUNDLES`), names every
-field that differs from the rebuilt bundle, and checks the few relations
-between fields that no constructor checks. The audit is not independent of
-the constructors: it shares their formulas, so it catches a tampered or inconsistent bundle but
-not a wrong closed form.
+kernels read; it is not a field. Bundles are frozen.
 
 Three growth regimes are supported. "sc" assumes strong convexity along
 rays to the minimizer, "qg" assumes quadratic growth plus plain convexity,
@@ -25,9 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +39,6 @@ __all__ = [
     "ode_params_sc",
     "ode_params_qg",
     "ode_params_pl",
-    "check_constraints",
 ]
 
 
@@ -90,7 +83,6 @@ def _alpha_or_max(alpha: Optional[float], alpha_max: float) -> float:
 class AgmParams:
     """Parameters for the discrete momentum method with gradient correction."""
 
-    _solver: ClassVar[str] = "agm"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     L: float
@@ -122,7 +114,6 @@ class AgmParams:
 class PgmParams:
     """Parameters for the proximal variant (composite objectives)."""
 
-    _solver: ClassVar[str] = "pgm"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     L: float
@@ -148,7 +139,6 @@ class PgmParams:
 class OdeParams:
     """Parameters for the damped flow and its energy certificate."""
 
-    _solver: ClassVar[str] = "ode"  # its rows' solver in _BUNDLES
     regime: Regime
     mu: float
     alpha: float        # viscous damping
@@ -273,8 +263,8 @@ def agm_params_nesterov(mu: float, L: float) -> AgmParams:
     extrapolation coefficient equal (1 - sqrt(q)) / (1 + sqrt(q)) and kills
     the second correction term in the x-update. This alpha sits slightly
     above the strongly convex cap, so the bundle is meant for the
-    equivalence comparison, not for certification; `check_constraints`
-    will flag it.
+    equivalence comparison, not for certification; `agm_params_sc`
+    refuses this alpha.
     """
     _check_mu_l(mu, L)
     q = mu / L
@@ -482,12 +472,12 @@ def ode_params_pl(mu: float, beta: float, theta: Optional[float] = None) -> OdeP
 
 
 # ----------------------------------------------------------------------
-# the bundle table and the audit
+# the bundle table
 
 
 # Each admissible (solver, regime) pair: its bundle constructor's name and the
 # inputs it takes after mu, named by bundle field. The harness builds a run's
-# bundle and names the run from its row; the audit rebuilds a bundle from it.
+# bundle and names the run from its row.
 _BUNDLES = {
     ("agm", "sc"): ("agm_params_sc", ("L", "gamma", "omega", "alpha")),
     ("agm", "qg"): ("agm_params_qg", ("L", "gamma", "omega", "alpha")),
@@ -498,73 +488,3 @@ _BUNDLES = {
     ("ode", "qg"): ("ode_params_qg", ("alpha", "beta", "omega", "theta")),
     ("ode", "pl"): ("ode_params_pl", ("beta", "theta")),
 }
-
-
-def _rebuild(p: Union[AgmParams, PgmParams, OdeParams]):
-    """The bundle that p's own inputs give through its row of _BUNDLES."""
-    row = _BUNDLES.get((p._solver, p.regime.value))
-    _require(row is not None, f"no {p._solver} bundle exists in regime {p.regime.value!r}")
-    name, inputs = row
-    return globals()[name](p.mu, *(getattr(p, f) for f in inputs))
-
-
-def _relations(p: Union[AgmParams, PgmParams, OdeParams]) -> list[tuple]:
-    """(relation, lhs, rhs, holds) for each relation between fields that no
-    constructor checks."""
-    a, xi = p.alpha, p.xi
-    if isinstance(p, OdeParams):
-        rhs = p.gamma - (a - xi) * p.beta
-        return [
-            ("xi <= alpha", xi, a, xi <= a + 1e-12 * a),
-            ("theta == gamma - (alpha - xi) beta", p.theta, rhs,
-             abs(p.theta - rhs) <= 1e-12 * max(1.0, p.theta)),
-        ]
-    ah = p.A * p.h
-    out = [("rho > 0", p.rho, 0.0, p.rho > 0.0),
-           ("R_omega > 0", p.R_omega, 0.0, p.R_omega > 0.0)]
-    if isinstance(p, PgmParams):
-        return out + [("rho <= A h", p.rho, ah, p.rho <= ah + 1e-12 * max(1.0, ah)),
-                      ("xi <= alpha", xi, a, xi <= a + 1e-12 * a)]
-    if p.regime is Regime.POLYAK_LOJASIEWICZ:
-        return out
-    tol = 1e-12 * max(1.0, abs(a), abs(p.theta))
-    low = (1.0 + p.omega) / (2.0 + p.omega) * a
-    return out + [("rho == A h", p.rho, ah, abs(p.rho - ah) <= 1e-12 * max(1e-30, ah)),
-                  ("xi >= (1+w)/(2+w) alpha", xi, low, xi >= low - tol),
-                  ("xi <= alpha", xi, a, xi <= a + tol)]
-
-
-def check_constraints(
-    params: Union[AgmParams, PgmParams, OdeParams], regime: Regime
-) -> list[str]:
-    """Audit a bundle; return its violations (empty if clean).
-
-    The bundle's inputs (mu and those its row of `_BUNDLES` names) go
-    back through that row's constructor. A rejected input is reported with
-    the constructor's message; otherwise every field more than 1e-12
-    relative away from the rebuilt bundle is named, and so is each failed
-    relation that no constructor checks (see `_relations`). A regime
-    mismatch is itself a violation. Sharing the constructors' formulas,
-    the audit catches a tampered or inconsistent bundle, not a wrong
-    closed form.
-    """
-    if not isinstance(params, (AgmParams, PgmParams, OdeParams)):
-        return [f"unknown bundle type {type(params).__name__}"]
-    if params.regime is not regime:
-        return [
-            f"regime: bundle was built for {params.regime.value!r}, "
-            f"checked against {regime.value!r}"
-        ]
-    try:
-        ref = _rebuild(params)
-    except ValueError as err:
-        return [f"inputs: {err}"]
-    out = []
-    for f in fields(params):
-        got, want = getattr(params, f.name), getattr(ref, f.name)
-        if f.name != "regime" and not math.isclose(got, want, rel_tol=1e-12):
-            out.append(f"{f.name}: bundle has {got:.12g}, its inputs give {want:.12g}")
-    for name, lhs, rhs, holds in _relations(params):
-        if not holds:
-            out.append(f"{name} fails: {lhs:.12g} vs {rhs:.12g}")
-    return out

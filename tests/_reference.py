@@ -3,8 +3,9 @@
 None of these is on a run's path: they audit the package from outside
 (central-difference gradients, the proximal descent inequality, the
 flow's field and a classical RK4 step built from it, the solvers' steps
-and energies on Python float scalars), adapt a smooth objective to the
-composite solver for the equivalence tests, raise an exception that
+and energies on Python float scalars, the classical accelerated step,
+a parameter bundle rebuilt from its own inputs), adapt a smooth objective
+to the composite solver for the equivalence tests, raise an exception that
 pickle cannot rebuild, or cut a forked child's pickled items mid-item.
 """
 
@@ -16,19 +17,25 @@ import os
 import pickle
 from types import SimpleNamespace
 from dataclasses import fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+import momcert.params
 from momcert import (
+    AgmParams,
     AgmState,
     CompositeObjective,
     DivergenceError,
+    OdeParams,
+    PgmParams,
     PgmState,
     ProxTerm,
+    Regime,
     SmoothObjective,
     grad_mapping,
 )
+from momcert.params import _BUNDLES, _require
 
 
 def state_snapshot(state) -> list:
@@ -110,6 +117,24 @@ def pgm_energy_reference(state: PgmState, f_curr: float, params, xstar: np.ndarr
         - 0.5 * params.eta * float(dx.dot(dx))
         + params.theta * (f_curr - fstar)
     )
+
+
+def nesterov_reference_step(
+    y_prev: np.ndarray,
+    y_curr: np.ndarray,
+    tau: float,
+    h: float,
+    obj: SmoothObjective,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the classical two-sequence accelerated scheme.
+
+    x = y_k + tau (y_k - y_{k-1}); y_{k+1} = x - h^2 grad f(x). Written
+    independently of `agm_step` on purpose: the equivalence of the two
+    under gamma = 1 + alpha h is something the tests verify, not assume.
+    """
+    x = y_curr + tau * (y_curr - y_prev)
+    y_next = x - h * h * obj.grad(x)
+    return x, y_next
 
 
 def state_bytes(state) -> list:
@@ -234,3 +259,78 @@ def cutting_pickle(items: int) -> SimpleNamespace:
         fh.write(data)
     return SimpleNamespace(dump=dump, load=pickle.load,
                            UnpicklingError=pickle.UnpicklingError)
+
+
+# Each bundle type's solver, as its rows of momcert.params._BUNDLES name it.
+_SOLVERS = {AgmParams: "agm", PgmParams: "pgm", OdeParams: "ode"}
+
+
+def _rebuild(p: Union[AgmParams, PgmParams, OdeParams]):
+    """The bundle that p's own inputs give through its row of _BUNDLES."""
+    solver = _SOLVERS[type(p)]
+    row = _BUNDLES.get((solver, p.regime.value))
+    _require(row is not None, f"no {solver} bundle exists in regime {p.regime.value!r}")
+    name, inputs = row
+    return getattr(momcert.params, name)(p.mu, *(getattr(p, f) for f in inputs))
+
+
+def _relations(p: Union[AgmParams, PgmParams, OdeParams]) -> list[tuple]:
+    """(relation, lhs, rhs, holds) for each relation between fields that no
+    constructor checks."""
+    a, xi = p.alpha, p.xi
+    if isinstance(p, OdeParams):
+        rhs = p.gamma - (a - xi) * p.beta
+        return [
+            ("xi <= alpha", xi, a, xi <= a + 1e-12 * a),
+            ("theta == gamma - (alpha - xi) beta", p.theta, rhs,
+             abs(p.theta - rhs) <= 1e-12 * max(1.0, p.theta)),
+        ]
+    ah = p.A * p.h
+    out = [("rho > 0", p.rho, 0.0, p.rho > 0.0),
+           ("R_omega > 0", p.R_omega, 0.0, p.R_omega > 0.0)]
+    if isinstance(p, PgmParams):
+        return out + [("rho <= A h", p.rho, ah, p.rho <= ah + 1e-12 * max(1.0, ah)),
+                      ("xi <= alpha", xi, a, xi <= a + 1e-12 * a)]
+    if p.regime is Regime.POLYAK_LOJASIEWICZ:
+        return out
+    tol = 1e-12 * max(1.0, abs(a), abs(p.theta))
+    low = (1.0 + p.omega) / (2.0 + p.omega) * a
+    return out + [("rho == A h", p.rho, ah, abs(p.rho - ah) <= 1e-12 * max(1e-30, ah)),
+                  ("xi >= (1+w)/(2+w) alpha", xi, low, xi >= low - tol),
+                  ("xi <= alpha", xi, a, xi <= a + tol)]
+
+
+def check_constraints(
+    params: Union[AgmParams, PgmParams, OdeParams], regime: Regime
+) -> list[str]:
+    """Audit a bundle; return its violations (empty if clean).
+
+    The bundle's inputs (mu and those its row of `_BUNDLES` names) go
+    back through that row's constructor. A rejected input is reported with
+    the constructor's message; otherwise every field more than 1e-12
+    relative away from the rebuilt bundle is named, and so is each failed
+    relation that no constructor checks (see `_relations`). A regime
+    mismatch is itself a violation. Sharing the constructors' formulas,
+    the audit catches a tampered or inconsistent bundle, not a wrong
+    closed form.
+    """
+    if not isinstance(params, (AgmParams, PgmParams, OdeParams)):
+        return [f"unknown bundle type {type(params).__name__}"]
+    if params.regime is not regime:
+        return [
+            f"regime: bundle was built for {params.regime.value!r}, "
+            f"checked against {regime.value!r}"
+        ]
+    try:
+        ref = _rebuild(params)
+    except ValueError as err:
+        return [f"inputs: {err}"]
+    out = []
+    for f in fields(params):
+        got, want = getattr(params, f.name), getattr(ref, f.name)
+        if f.name != "regime" and not math.isclose(got, want, rel_tol=1e-12):
+            out.append(f"{f.name}: bundle has {got:.12g}, its inputs give {want:.12g}")
+    for name, lhs, rhs, holds in _relations(params):
+        if not holds:
+            out.append(f"{name} fails: {lhs:.12g} vs {rhs:.12g}")
+    return out

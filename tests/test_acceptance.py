@@ -32,7 +32,6 @@ from momcert import (
     fit_linear_rate,
     grad_mapping,
     lasso_problem,
-    nesterov_reference_step,
     ode_params_pl,
     ode_params_qg,
     ode_params_sc,
@@ -46,7 +45,11 @@ from momcert import (
 )
 from momcert.ode import _coefficients
 
-from _reference import finite_diff_gradient_check, prox_descent_check
+from _reference import (
+    finite_diff_gradient_check,
+    nesterov_reference_step,
+    prox_descent_check,
+)
 
 BIG_L = 100.0
 

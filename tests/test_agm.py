@@ -27,7 +27,6 @@ from momcert import (
     agm_step,
     certify_trace,
     failed_checks,
-    nesterov_reference_step,
     pl_sine_problem,
     quadratic_problem,
 )
@@ -35,6 +34,7 @@ from momcert import (
 from _reference import (
     agm_energy_reference,
     agm_step_reference,
+    nesterov_reference_step,
     state_bytes,
     state_snapshot,
 )

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import resource
 import shutil
@@ -793,7 +794,9 @@ _REFUSED_UNBUILT = {
 
 # Output files that could not be written, refused before any instance is
 # built: an output directory under a file, a trace file in a directory that
-# does not exist or that is a directory, and a table likewise.
+# does not exist or that is a directory, a table likewise, and two outputs
+# of one command that name the same file (the second write would replace
+# the first).
 _UNWRITABLE = {
     "out-under-a-file": ["solve", "--d", "3", "-k", "5", "--out", "{inputs}/cubic.cfg/x"],
     "csv-in-missing-dir": ["solve", "--d", "3", "-k", "5", "--csv", "sub/x.csv"],
@@ -803,6 +806,10 @@ _UNWRITABLE = {
                                    "--csv", "sub/t.csv"],
     "rates-table-in-missing-dir": ["rates", "--d", "3", "-k", "5", "--gamma", "1,2",
                                    "--csv", "sub/t.csv"],
+    "csv-and-json-one-file": ["solve", "--d", "5", "-k", "20", "--csv", "x.csv",
+                              "--json", "./x.csv"],
+    "sweep-table-named-like-a-trace": ["sweep", "--d", "5", "-k", "20", "--gamma", "1,2",
+                                       "--csv", "quadratic_agm_sc_g1_w0_s0.csv"],
 }
 
 
@@ -1028,6 +1035,19 @@ class TestCli:
         assert err.count("\n") == 1
         assert list(tmp_path.rglob("*")) == [blocker]
 
+    @pytest.mark.parametrize("command", ["sweep", "rates"])
+    @pytest.mark.parametrize("source", ["flag", "config-key"])
+    def test_table_refuses_json(self, tmp_path, capsys, monkeypatch, command, source):
+        # a table writes no summary JSON, so a json name would go unwritten
+        cfg = tmp_path / "json.cfg"
+        cfg.write_text("json = f.json\n")
+        given = ["--json", "f.json"] if source == "flag" else ["--config", str(cfg)]
+        monkeypatch.setattr(momcert.harness, "build_problem", _no_build)
+        err = _rejected(tmp_path, capsys, [command, "--d", "3", "-k", "5", "--gamma", "1,2",
+                                           *given])
+        assert err == ("configuration error: sweep and rates take no json: "
+                       "they write no summary JSON\n")
+
     def test_missing_output_directory_is_made_with_its_parents(self, tmp_path):
         # a file named past the new directory, through "..", is writable too
         out = tmp_path / "a" / "b"
@@ -1111,6 +1131,17 @@ class TestCli:
         loaded = {name.split(".")[0] for name in proc.stdout.split()}
         assert {"numpy", "momcert"} <= loaded
         assert loaded - sys.stdlib_module_names - {"numpy", "momcert"} == set()
+
+    def test_the_package_exports_its_modules_all_lists_and_nothing_else(self):
+        modules = [importlib.import_module(f"momcert.{m.name}") for m in
+                   sorted(pkgutil.iter_modules(momcert.__path__), key=lambda m: m.name)]
+        listed = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+        assert momcert.__all__ == [name for _, name in listed] + ["__version__"]
+        assert len(set(momcert.__all__)) == len(momcert.__all__)
+        assert all(getattr(momcert, name) is getattr(m, name) for m, name in listed)
+        star: dict = {}
+        exec("from momcert import *", star)
+        assert star.keys() - {"__builtins__"} == set(momcert.__all__)
 
     def test_negative_value_in_scientific_notation(self, tmp_path, capsys):
         rc = main(["solve", "--problem", "pl_sine", "--regime", "pl", "--x0", "-1e-3",

@@ -19,13 +19,14 @@ from momcert import (
     agm_params_pl,
     agm_params_qg,
     agm_params_sc,
-    check_constraints,
     ode_params_pl,
     ode_params_qg,
     ode_params_sc,
     pgm_params_qg,
     pgm_params_sc,
 )
+
+from _reference import check_constraints
 
 
 class TestAgmStronglyConvex:

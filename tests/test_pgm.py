@@ -24,7 +24,6 @@ from momcert import (
     failed_checks,
     grad_mapping,
     lasso_problem,
-    nesterov_reference_step,
     pgm_energy,
     pgm_init,
     pgm_params_qg,
@@ -37,6 +36,7 @@ from momcert.harness import build_params, build_problem
 
 from _reference import (
     composite_from_smooth,
+    nesterov_reference_step,
     pgm_energy_reference,
     pgm_step_reference,
     prox_descent_check,
