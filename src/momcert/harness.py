@@ -9,10 +9,10 @@ runs of the same configuration and seed produce byte-identical CSVs.
 Exit status contract for the CLI: 0 on success, 1 if any runtime
 certificate failed or a run diverged, 2 for configuration errors. The
 config's rules, among them the admissible (problem, solver, regime)
-triples and output files that can be written, are checked before any
-compute; an unbuildable instance, a bundle constructor's refusal and a
-write that fails anyway are reported after it. The default output
-directory is taken from the MOMCERT_OUT environment variable when set.
+triples, writable outputs and the gamma and omega a generated instance's
+bundle admits, are checked before any compute; an unbuildable instance,
+a bundle's other refusals and a failed write are reported after it. The
+default output directory is taken from MOMCERT_OUT when set.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .params import (
 )
 from .certificates import failed_checks
 from .driver import RowLimitError
-from .parallel import forked, usable_cores
+from .parallel import forked, spare_cores
 from .trace import Trace
 
 __all__ = [
@@ -274,6 +274,17 @@ def build_params(config: ExperimentConfig, obj) -> Union[
         raise ConfigError(str(err)) from None
 
 
+def _refuse_knobs(config: ExperimentConfig) -> None:
+    """Raise the bundle's refusal of a generated instance's gamma or omega
+    before the instance is built, from the nominal constants mu = q L and L."""
+    if "q" in _PROBLEMS[config.problem].keys:
+        mu = config.q * config.L
+        nominal = argparse.Namespace(lipschitz=config.L, strong_convexity=mu,
+                                     qg_constant=mu, pl_constant=mu)
+        nominal.smooth = nominal
+        build_params(replace(config, alpha=None, beta=None, theta=None), nominal)
+
+
 # ----------------------------------------------------------------------
 # rate fitting
 
@@ -349,6 +360,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     config = replace(config).validated()
     if write:
         paths = _out_paths(config, *_trace_names(config))
+    if not built:
+        _refuse_knobs(config)
     obj, x0 = built[:2] if built else build_problem(config)
     bundle = built[2] if built else build_params(config, obj)
     solver = config.resolved_solver()
@@ -435,9 +448,9 @@ def rate_table(
 
     All configs must target the same problem instance (same problem, seed
     and keys of the problem's table row) so the rows are comparable. Each is
-    built before the first run; members i, i + n, ... then run in process
-    i of n, one per usable core, with the rows and files of a serial run; a
-    member a process did not deliver runs again here, in config order, last.
+    built before the first run; members i, i + n, ... then run in process i
+    of n, this one and one per spare core, with a serial run's rows and files;
+    a member a process did not deliver runs again here, in config order, last.
     Rows are sorted by (regime, gamma, omega), count certificates_passed
     of certificates_checked, and carry the run's exit_code.
     """
@@ -449,9 +462,11 @@ def rate_table(
     if len(set(keys)) > 1:
         raise ConfigError(f"rate_table configs must share one problem instance; "
                           f"{next(k for k in keys if k != keys[0])} != {keys[0]}")
+    for c in configs:
+        _refuse_knobs(c)
     obj, x0 = build_problem(configs[0])
     members = [(c, (obj, x0, build_params(c, obj))) for c in configs]
-    n = min(usable_cores(), len(members))
+    n = min(1 + spare_cores(), len(members))
 
     def row(c: ExperimentConfig, built: tuple) -> dict:
         return _table_row(run_experiment(c, write_traces, built))

@@ -45,7 +45,7 @@ class SmoothObjective:
     are None when no ground truth is available; certificate code treats
     that as "run uncertified". `takes_floats` declares that a 1-d
     objective's eval and grad also take a Python float and then return one,
-    bit for bit as on a (1,) array; only then do the flow and PL scan use floats.
+    bit for bit as on a (1,) array; the flow then uses floats, the PL scan needs them.
     """
 
     dimension: int
@@ -179,7 +179,7 @@ def pl_sine_problem() -> SmoothObjective:
     f'' = 2 + 6 cos(2x) lies in [-4, 8], so the gradient is 8-Lipschitz and
     the function is not convex. The unique global minimizer is 0 with value
     0. The gradient-domination constant is estimated by
-    `estimate_pl_constant`'s default dense scan over [-20, 20]; no strong
+    `estimate_pl_constant`'s scan of 20001 floats on [-20, 20]; no strong
     convexity constant is attached.
     """
     obj = SmoothObjective(
@@ -299,38 +299,25 @@ def reference_minimizer(
     )
 
 
-def estimate_pl_constant(
-    obj: SmoothObjective,
-    lo: float = -20.0,
-    hi: float = 20.0,
-    n: int = 20001,
-    points: Optional[Sequence[np.ndarray]] = None,
-) -> float:
+def estimate_pl_constant(obj: SmoothObjective) -> float:
     """Scan-based lower estimate of the gradient-domination constant.
 
-    Minimizes ||grad f(x)||^2 / (2 (f(x) - f*)) over a uniform 1-d grid on
-    [lo, hi] (on Python floats if obj.takes_floats, else on (1,) arrays), or
-    over explicitly supplied points for higher dimensions. Points with
-    f(x) - f* < 1e-12 are excluded as numerically degenerate. Requires
-    min_value on the objective.
+    Minimizes ||grad f(x)||^2 / (2 (f(x) - f*)) over 20001 evenly spaced
+    Python floats on [-20, 20]; obj must take floats and carry min_value.
+    Points with f(x) - f* < 1e-12 are excluded as numerically degenerate.
     """
+    if not obj.takes_floats:
+        raise ValueError("estimate_pl_constant scans floats; obj must take them")
     if obj.min_value is None:
         raise ValueError("estimate_pl_constant needs obj.min_value")
-    if points is not None:
-        xs = [np.asarray(p, dtype=float) for p in points]
-    elif obj.dimension != 1:
-        raise ValueError("grid scan is 1-d only; pass points explicitly")
-    else:
-        grid = np.linspace(lo, hi, n).tolist()
-        xs = grid if obj.takes_floats else [np.array([u]) for u in grid]
     f, df = obj.eval, obj.grad
     best = np.inf
-    for x in xs:
+    for x in np.linspace(-20.0, 20.0, 20001).tolist():
         gap = f(x) - obj.min_value
         if gap < 1e-12:
             continue
-        g = df(x)  # on a float, g * g is the one-element g @ g, bit for bit
-        best = min(best, (g * g if type(g) is float else float(g @ g)) / (2.0 * gap))
+        g = df(x)
+        best = min(best, g * g / (2.0 * gap))
     if not np.isfinite(best):
         raise ValueError("no sample point had f(x) - f* >= 1e-12")
     return best

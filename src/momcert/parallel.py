@@ -14,15 +14,11 @@ from contextlib import contextmanager, suppress
 _held = 1  # processes of the forked jobs this process is one of
 
 
-def usable_cores() -> int:
-    """Cores this process may run on; 1 where affinity or fork is missing."""
-    ok = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-    return len(os.sched_getaffinity(0)) if ok else 1
-
-
 def spare_cores() -> int:
-    """Usable cores beyond the one this process runs on, in its share of its job."""
-    return usable_cores() // _held - 1
+    """Usable cores beyond the one this process runs on, in its share of its job;
+    0 where affinity or fork is missing."""
+    ok = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    return len(os.sched_getaffinity(0)) // _held - 1 if ok else 0
 
 
 @contextmanager

@@ -775,9 +775,10 @@ def _bench_smoke(workload: str, trace: int) -> tuple[dict, str]:
     return result["metrics"], proc.stderr
 
 
-# Inputs the problem table refuses before any instance is built: an unknown
-# problem read from a file, a solver or regime the problem does not admit,
-# and a generated instance with one curvature.
+# Inputs refused before any instance is built: an unknown problem read from
+# a file, a solver or regime the problem does not admit, a generated
+# instance with one curvature, and a gamma or omega that a generated
+# instance's bundle refuses (for a grid, after an admissible point).
 _REFUSED_UNBUILT = {
     "cubic-config-sweep": ["sweep", "--config", "{inputs}/cubic.cfg"],
     "cubic-config-rates": ["rates", "--config", "{inputs}/cubic.cfg"],
@@ -790,6 +791,14 @@ _REFUSED_UNBUILT = {
                  "--d", "5", "--lam", "0"],
     "pl_sine-sc": ["ode", "--problem", "pl_sine", "--regime", "sc"],
     "lasso-d1": ["solve", "--problem", "lasso", "--d", "1"],
+    "lasso-omega": ["solve", "--problem", "lasso", "--omega", "7", "--q", "1e-5",
+                    "--d", "5", "--lam", "0"],
+    "quadratic-gamma": ["solve", "--problem", "quadratic", "--d", "4", "--gamma", "9"],
+    "flow-omega": ["ode", "--problem", "quadratic", "--d", "4", "--omega", "2"],
+    "inadmissible-gamma-grid": ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50",
+                                "--gamma", "1,9", "--omega", "0"],
+    "inadmissible-omega-grid": ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50",
+                                "--omega", "0,7"],
 }
 
 # Output files that could not be written, refused before any instance is
@@ -969,10 +978,6 @@ class TestCli:
         ["sweep", "--problem", "lasso", "--d", "6", "-k", "100", "--gamma", "1,2",
          "--omega", "1,0"],
         ["rates", "--regime", "pl", "--gamma", "1,2", "--d", "4", "--q", "0.1"],
-        # an inadmissible grid point after an admissible one: no trace written
-        ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--gamma", "1,9",
-         "--omega", "0"],
-        ["sweep", "--problem", "quadratic", "--d", "4", "-k", "50", "--omega", "0,7"],
         # the flow in pl reads no omega, though its file names carry one
         ["sweep", "--solver", "ode", "--problem", "pl_sine", "--regime", "pl",
          "--omega", "0,1", "-T", "5"],
@@ -995,8 +1000,7 @@ class TestCli:
     ], ids=["negative-seed", "nan-dt", "nan-lam", "empty-grid", "huge-iters",
             "huge-horizon", "subnormal-dt", "missing-config", "directory-config",
             "non-utf8-config", "rank-deficient-lasso", "pgm-gamma-grid",
-            "pl-gamma-grid", "inadmissible-gamma-grid", "inadmissible-omega-grid",
-            "flow-pl-omega-grid", "alike-named-omega-grid",
+            "pl-gamma-grid", "flow-pl-omega-grid", "alike-named-omega-grid",
             "overflowing-sc-gamma", "overflowing-qg-gamma",
             "overflowing-pl-gamma", "overflowing-sc-theta-floor",
             "overflowing-qg-theta-floor", "overflowing-stiffness", *_REFUSED_UNBUILT,

@@ -101,7 +101,7 @@ class TestPlSine:
         assert obj.min_value == 0.0
         assert obj.minimizer[0] == 0.0
         assert obj.strong_convexity is None
-        assert obj.pl_constant == pytest.approx(PL_SINE_MU, rel=1e-13)
+        assert obj.pl_constant == PL_SINE_MU
 
     def test_not_convex(self):
         # midpoint above the chord between x = 1.2 and x = 2.2
@@ -378,43 +378,23 @@ class TestFiniteDiff:
 
 
 class TestEstimatePl:
+    @staticmethod
+    def _on_floats(f, df, **constants) -> SmoothObjective:
+        return SmoothObjective(dimension=1, eval=f, grad=df, lipschitz=1.0,
+                               takes_floats=True, **constants)
+
     def test_exact_on_scalar_quadratic(self):
-        obj = quadratic_problem([0.7], [0.0])
+        obj = self._on_floats(lambda u: 0.35 * u * u, lambda u: 0.7 * u, min_value=0.0)
         assert estimate_pl_constant(obj) == pytest.approx(0.7, rel=1e-12)
 
-    def test_explicit_points_for_higher_dimensions(self):
-        obj = quadratic_problem([1.0, 4.0], [0.0, 0.0], seed=0)
-        pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-        # ratios are 1, 4 and 17/5; the scan keeps the smallest
-        assert estimate_pl_constant(obj, points=pts) == pytest.approx(1.0, rel=1e-13)
-        with pytest.raises(ValueError):
-            estimate_pl_constant(obj)  # no grid scan above dimension 1
-
-    @pytest.mark.parametrize("make", [pl_sine_problem,
-                                      lambda: quadratic_problem([0.7], [0.3])],
-                             ids=["pl_sine-floats", "quadratic-arrays"])
-    def test_grid_scan_equals_the_array_scan_bitwise(self, make):
-        # the 1-d grid scan runs on floats when the objective takes them
-        # (pl_sine) and on (1,) arrays otherwise; the explicit points run
-        # on arrays with g @ g
-        obj = make()
-        grid = [np.array([t]) for t in np.linspace(-20.0, 20.0, 20001)]
-        scan, points = estimate_pl_constant(obj), estimate_pl_constant(obj, points=grid)
-        assert float(scan).hex() == float(points).hex()
-
-    def test_grid_scan_on_arrays_equals_the_scan_on_floats(self):
-        obj = pl_sine_problem()  # its pl_constant is the scan on floats
-        arrays = estimate_pl_constant(replace(obj, takes_floats=False))
-        assert float(arrays).hex() == float(obj.pl_constant).hex()
-
     def test_degenerate_inputs(self):
-        obj = quadratic_problem([1.0], [0.0])
-        with pytest.raises(ValueError):
-            estimate_pl_constant(obj, points=[obj.minimizer])
-        anon = SmoothObjective(dimension=1, eval=lambda x: float(x[0] ** 2),
-                               grad=lambda x: 2.0 * x, lipschitz=2.0)
-        with pytest.raises(ValueError):
-            estimate_pl_constant(anon)
+        with pytest.raises(ValueError, match="min_value"):
+            estimate_pl_constant(self._on_floats(lambda u: u * u, lambda u: 2.0 * u))
+        with pytest.raises(ValueError, match="floats"):
+            estimate_pl_constant(quadratic_problem([1.0], [0.0]))  # takes arrays only
+        flat = self._on_floats(lambda u: 0.0, lambda u: 0.0, min_value=0.0)
+        with pytest.raises(ValueError, match="no sample point"):
+            estimate_pl_constant(flat)
 
 
 class TestComposite:

@@ -422,3 +422,33 @@ class TestBundleConstants:
         assert p == before and hash(p) == hash(before) and repr(p) == repr(before)
         assert replace(p) == before
         assert check_constraints(p, p.regime) == check_constraints(before, p.regime)
+
+
+# Discrete bundles at their default alpha, each with the flow bundle of its
+# regime at that alpha, beta = h and omega (the flow in pl takes mu and beta).
+_FLOWS = {Regime.STRONGLY_CONVEX: ode_params_sc, Regime.QUADRATIC_GROWTH: ode_params_qg}
+_LIMIT_CASES = {
+    "agm-sc-g1-w0": lambda mu, L: agm_params_sc(mu, L, 1.0, 0.0),
+    "agm-sc-g2-w1": lambda mu, L: agm_params_sc(mu, L, 2.0, 1.0),
+    "agm-qg-g2-w1": lambda mu, L: agm_params_qg(mu, L, 2.0, 1.0),
+    "agm-pl": agm_params_pl,
+    "pgm-sc-w0": lambda mu, L: pgm_params_sc(mu, L, 0.0),
+    "pgm-sc-w1": lambda mu, L: pgm_params_sc(mu, L, 1.0),
+    "pgm-qg-w1": lambda mu, L: pgm_params_qg(mu, L, 1.0),
+}
+
+
+class TestFlowLimit:
+    """As h = 1 / sqrt(L) -> 0, a discrete bundle's rate per unit time rho / h
+    tends to its flow's decay rate, from below and within O(h)."""
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", _LIMIT_CASES)
+    def test_rate_per_unit_time_tends_to_the_flow_decay_rate(self, name, h):
+        p = _LIMIT_CASES[name](1.0, h ** -2)
+        if p.regime is Regime.POLYAK_LOJASIEWICZ:
+            flow = ode_params_pl(1.0, p.h)
+        else:
+            flow = _FLOWS[p.regime](1.0, p.alpha, p.h, p.omega)
+        ratio = p.rho / p.h / flow.decay_rate
+        assert 1.0 - 5.0 * h <= ratio <= 1.0 + 1e-12
